@@ -188,6 +188,7 @@ impl Stmt {
     pub fn kind(&self) -> &'static str {
         match self {
             Stmt::Insert(rows) if rows.len() == 1 => "insert1",
+            Stmt::Insert(rows) if rows.len() > INGEST_MIX.insert_rows => "insert_bulk",
             Stmt::Insert(_) => "insert",
             Stmt::Modify { col, .. } if *col == COL_NUC => "modify_nuc",
             Stmt::Modify { .. } => "modify_nsc",

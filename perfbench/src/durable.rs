@@ -188,7 +188,7 @@ fn measure(
     let t0 = Instant::now();
     let deadline = t0 + Duration::from_secs_f64(secs);
     let [mut writer_stream, mut reader_stream]: [ConnStream; 2] = WORKLOAD.phases()[0]
-        .streams(seed, 0, model.visible_rows())
+        .streams(seed, model.visible_rows())
         .try_into()
         .unwrap_or_else(|_| unreachable!("two connections"));
     let (writer, reader) = std::thread::scope(|scope| {
@@ -339,7 +339,7 @@ pub fn run_traced(seed: u64, secs: f64, model: &Model, report: &mut Report) {
 
     let mut tr = Tracer::new();
     let mut tally = Tally::default();
-    let mut streams = WORKLOAD.phases()[0].streams(seed, 0, model.visible_rows());
+    let mut streams = WORKLOAD.phases()[0].streams(seed, model.visible_rows());
     let mut wmodel = model.clone();
     let readers = [ct.clone()];
     let mut committed = 0u64;

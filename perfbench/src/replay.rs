@@ -587,8 +587,12 @@ pub fn run_served_traced(
     let reads = workload.reads();
     let t0 = std::time::Instant::now();
     let mut req = 0;
-    for (index, phase) in workload.phases().iter().enumerate() {
-        let mut streams = phase.streams(seed, index, model.visible_rows());
+    let mut groups = Vec::new();
+    for phase in workload.phases() {
+        if phase.group == groups.len() {
+            groups.push(phase.streams(seed, model.visible_rows()));
+        }
+        let streams = &mut groups[phase.group];
         let n = ((replay_requests(workload) as f64 * phase.share).round() as u64).min(phase.limit);
         for _ in 0..n {
             req += 1;

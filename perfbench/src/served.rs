@@ -41,7 +41,7 @@ fn ok(resp: &std::io::Result<String>) -> bool {
 pub fn drive(
     addr: SocketAddr,
     workload: Workload,
-    mut stream: ConnStream,
+    stream: &mut ConnStream,
     mut model: Option<Model>,
     deadline: Instant,
     limit: u64,
@@ -138,7 +138,8 @@ pub fn start(model: &Model, workload: Workload) -> Started {
 pub type PhaseRun = (Vec<ConnOutcome>, f64);
 
 /// Runs the workload's phases one after the other, each for its share of
-/// `secs` or until its connections reach its request limit.
+/// `secs` or until its connections reach its request limit. Phases of
+/// one group continue the group's streams and its writer's model.
 pub fn window(
     server: &Server,
     workload: Workload,
@@ -147,19 +148,30 @@ pub fn window(
     secs: f64,
 ) -> Vec<PhaseRun> {
     let addr = server.addr();
+    let mut groups: Vec<Vec<(ConnStream, Option<Model>)>> = Vec::new();
     workload
         .phases()
         .iter()
-        .enumerate()
-        .map(|(index, phase)| {
+        .map(|phase| {
+            if phase.group == groups.len() {
+                groups.push(
+                    phase
+                        .streams(seed, model.visible_rows())
+                        .into_iter()
+                        .map(|stream| {
+                            let m = stream.is_writer().then(|| model.clone());
+                            (stream, m)
+                        })
+                        .collect(),
+                );
+            }
             let t0 = Instant::now();
             let deadline = t0 + Duration::from_secs_f64(secs * phase.share);
             let outcomes = std::thread::scope(|scope| {
-                let handles: Vec<_> = phase
-                    .streams(seed, index, model.visible_rows())
-                    .into_iter()
-                    .map(|stream| {
-                        let m = stream.is_writer().then(|| model.clone());
+                let handles: Vec<_> = groups[phase.group]
+                    .iter_mut()
+                    .map(|(stream, m)| {
+                        let m = m.take();
                         scope.spawn(move || drive(addr, workload, stream, m, deadline, phase.limit))
                     })
                     .collect();
@@ -168,7 +180,11 @@ pub fn window(
                     .map(|h| h.join().expect("client thread"))
                     .collect::<Vec<_>>()
             });
-            (outcomes, t0.elapsed().as_secs_f64())
+            let secs = t0.elapsed().as_secs_f64();
+            for ((_, m), out) in groups[phase.group].iter_mut().zip(&outcomes) {
+                m.clone_from(&out.model);
+            }
+            (outcomes, secs)
         })
         .collect()
 }
@@ -330,8 +346,8 @@ pub fn quiesce_and_audit(
     }
 
     let actual: Vec<Vec<Vec<Row>>> = tables.iter().map(|t| visible_rows(t)).collect();
-    match outcomes.iter().find_map(|o| o.model.as_ref()) {
-        // One writer: the model holds every partition's exact rows.
+    match outcomes.iter().rev().find_map(|o| o.model.as_ref()) {
+        // One writer: its last model holds every partition's exact rows.
         Some(model) => {
             if actual != model.parts {
                 report.fail("visible rows differ from the acknowledged statement stream");

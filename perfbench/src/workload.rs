@@ -54,34 +54,43 @@ impl Workload {
     }
 
     /// The window's phases, run one after the other.
-    pub fn phases(self) -> &'static [Phase] {
+    pub fn phases(self) -> Vec<Phase> {
         match self {
-            Workload::Dashboard => &[Phase {
+            Workload::Dashboard => vec![Phase {
                 roles: &[Role::Mixed(DASHBOARD_READS, DASHBOARD_WRITES); 2],
                 share: 1.0,
                 limit: u64::MAX,
+                group: 0,
             }],
-            // 64-row inserts on one connection first, then the reads, so
-            // neither disturbs the other's latency. The inserts go first:
-            // run after the reads' large allocations, their latency
-            // moved by a third between runs. Their count is fixed, so
-            // the reads always see the same table.
-            Workload::Analytic => &[
-                Phase {
-                    roles: &[Role::Inserter],
-                    share: 0.2,
-                    limit: ANALYTIC_INSERTS,
-                },
-                Phase {
-                    roles: &[Role::Reader(ANALYTIC_READS); 2],
-                    share: 0.8,
-                    limit: u64::MAX,
-                },
-            ],
-            Workload::Ingest | Workload::DurableIngest => &[Phase {
+            // Blocks of inserts on one connection alternate with the
+            // reads, so neither disturbs the other's latency and the
+            // inserts are sampled across the whole window, not in one
+            // burst that a busy second of the machine can cover. Their
+            // count is fixed, so the reads of a block always see the
+            // same table.
+            Workload::Analytic => (0..ANALYTIC_BLOCKS)
+                .flat_map(|_| {
+                    [
+                        Phase {
+                            roles: &[Role::Inserter(ANALYTIC_INSERTS)],
+                            share: 0.25 / ANALYTIC_BLOCKS as f64,
+                            limit: ANALYTIC_COMMITS / ANALYTIC_BLOCKS,
+                            group: 0,
+                        },
+                        Phase {
+                            roles: &[Role::Reader(ANALYTIC_READS); 2],
+                            share: 0.75 / ANALYTIC_BLOCKS as f64,
+                            limit: u64::MAX,
+                            group: 1,
+                        },
+                    ]
+                })
+                .collect(),
+            Workload::Ingest | Workload::DurableIngest => vec![Phase {
                 roles: &[Role::Writer, Role::Reader(DASHBOARD_READS)],
                 share: 1.0,
                 limit: u64::MAX,
+                group: 0,
             }],
         }
     }
@@ -145,34 +154,45 @@ pub const ANALYTIC_READS: &[ReadClass] = &[
     },
 ];
 /// One phase of a window: the roles of its connections (at most two),
-/// the share of the seconds the phase runs, and the most requests a
-/// connection sends in it.
+/// the share of the seconds the phase runs, the most requests a
+/// connection sends in it, and its group. Phases of one group have the
+/// same roles and continue one set of connection streams, so a mix
+/// split over several phases stays the mix of one stream.
 pub struct Phase {
     pub roles: &'static [Role],
     pub share: f64,
     pub limit: u64,
+    pub group: usize,
 }
 
-/// 64-row inserts before the analytic reads: 19 200 rows, under 5% of
+/// The analytic inserts, per round: four of the writer's 64 rows and one
+/// bulk insert. By latency 64 rows < bulk, so p50 falls inside the
+/// 64-row band and p90 inside the bulk band.
+const ANALYTIC_INSERTS: &[(usize, usize)] = &[(INGEST_MIX.insert_rows, 4), (BULK_ROWS, 1)];
+/// Rows of a bulk insert.
+const BULK_ROWS: usize = 256;
+/// Analytic inserts per window: 120 rounds, 61 440 rows, about 15% of
 /// the table.
-const ANALYTIC_INSERTS: u64 = 300;
+const ANALYTIC_COMMITS: u64 = 600;
+/// Insert blocks (each followed by a read block) per analytic window.
+const ANALYTIC_BLOCKS: u64 = 10;
 
-/// Keys of different phases never meet: phase `p` starts at
-/// `first_key + p * PHASE_KEY_SPAN`.
-const PHASE_KEY_SPAN: usize = 1 << 32;
+/// Keys of different groups never meet: group `g` starts at
+/// `first_key + g * GROUP_KEY_SPAN`.
+const GROUP_KEY_SPAN: usize = 1 << 32;
 
 impl Phase {
-    /// The connections' seeded streams for phase number `index`.
-    pub fn streams(&self, seed: u64, index: usize, first_key: usize) -> Vec<ConnStream> {
+    /// The seeded streams of the phase's group.
+    pub fn streams(&self, seed: u64, first_key: usize) -> Vec<ConnStream> {
         self.roles
             .iter()
             .enumerate()
             .map(|(conn, &role)| {
                 ConnStream::new(
                     seed,
-                    2 * index + conn,
+                    2 * self.group + conn,
                     role,
-                    first_key + index * PHASE_KEY_SPAN,
+                    first_key + self.group * GROUP_KEY_SPAN,
                 )
             })
             .collect()
@@ -186,9 +206,9 @@ pub enum Role {
     Mixed(&'static [ReadClass], usize),
     /// Only the seeded statement stream, each followed by a publish.
     Writer,
-    /// Only inserts of the writer's batch size, each followed by a
-    /// publish.
-    Inserter,
+    /// Only inserts, each followed by a publish: each round holds
+    /// `count` inserts of `rows` rows for every `(rows, count)`.
+    Inserter(&'static [(usize, usize)]),
     /// Only reads of the given classes.
     Reader(&'static [ReadClass]),
 }
@@ -203,7 +223,7 @@ pub enum Req {
 enum Draw {
     Read(usize),
     InsertOne,
-    InsertBatch,
+    InsertBatch(usize),
     Write(WriteKind),
 }
 
@@ -232,7 +252,10 @@ impl ConnStream {
                 items
             }
             Role::Reader(classes) => reads(classes),
-            Role::Inserter => vec![Draw::InsertBatch],
+            Role::Inserter(sizes) => sizes
+                .iter()
+                .flat_map(|&(rows, n)| std::iter::repeat_n(Draw::InsertBatch(rows), n))
+                .collect(),
             Role::Writer => INGEST_MIX
                 .round
                 .iter()
@@ -257,7 +280,7 @@ impl ConnStream {
         match self.deck.draw() {
             Draw::Read(c) => Req::Read(c),
             Draw::InsertOne => Req::Write(Stmt::Insert(vec![self.gen.row()])),
-            Draw::InsertBatch => Req::Write(Stmt::Insert(self.gen.rows(INGEST_MIX.insert_rows))),
+            Draw::InsertBatch(rows) => Req::Write(Stmt::Insert(self.gen.rows(rows))),
             Draw::Write(kind) => Req::Write(next_write(
                 kind,
                 &mut self.rng,
