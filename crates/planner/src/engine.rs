@@ -1373,6 +1373,142 @@ mod tests {
         assert!(reg.counter("planner.rewrites_chosen").get() >= 3);
     }
 
+    /// The views the facade is implemented for.
+    #[derive(Debug, Clone, Copy)]
+    enum View {
+        Owner,
+        Snapshot,
+        CachedSnapshot,
+        Handle,
+        Writer,
+    }
+
+    /// Column 0 of a batch, sorted unless the plan's output is ordered.
+    fn rows_of(b: &Batch, ordered: bool) -> Vec<i64> {
+        let mut v = if b.width() == 0 {
+            Vec::new()
+        } else {
+            b.column(0).as_int().to_vec()
+        };
+        if !ordered {
+            v.sort_unstable();
+        }
+        v
+    }
+
+    /// The workload evidence a table has absorbed: query-log counts for
+    /// every shape the plan set produces, then per slot the feedback
+    /// counters that depend on nothing measured.
+    fn evidence(it: &IndexedTable) -> Vec<String> {
+        let log = it.query_log();
+        let mut out = vec![format!(
+            "log {} {} {} {}",
+            log.total(),
+            log.count(1, QueryShape::Distinct),
+            log.count(1, QueryShape::Sort(SortDir::Asc)),
+            log.count(0, QueryShape::Distinct),
+        )];
+        for idx in it.indexes() {
+            let fb = idx.query_feedback();
+            out.push(format!(
+                "bound {} measured {} saved {} executed {}",
+                fb.times_bound, fb.measured_queries, fb.est_cost_saved, fb.est_cost_executed
+            ));
+        }
+        out
+    }
+
+    /// Runs every plan twice (the second run of a cached view is a hit)
+    /// through `query` — or `query_traced` when `traced` — and once
+    /// through `query_count`, checking each answer against the
+    /// index-free reference. Returns the evidence the view left behind.
+    fn drive(view: View, pending: bool, traced: bool, plans: &[(Plan, bool)]) -> Vec<String> {
+        let mut it = fresh(4);
+        if pending {
+            it.set_policy(deferred());
+        }
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        if pending {
+            // A staged duplicate: the NUC disjointness invariant is
+            // suspended, so the owner must flush and a snapshot must mask.
+            it.insert(&[vec![Value::Int(999), Value::Int(0)]]);
+            assert!(it.index(0).has_pending());
+        }
+        let references: Vec<Batch> = plans
+            .iter()
+            .map(|(p, _)| execute(p, it.table(), NO_INDEXES))
+            .collect();
+        let exercise = |q: &mut dyn QueryEngine| {
+            for ((plan, ordered), reference) in plans.iter().zip(&references) {
+                let ctx = format!("{view:?} pending={pending} traced={traced} {plan}");
+                for _ in 0..2 {
+                    let got = if traced {
+                        q.query_traced(plan).0
+                    } else {
+                        q.query(plan)
+                    };
+                    assert_eq!(
+                        rows_of(&got, *ordered),
+                        rows_of(reference, *ordered),
+                        "{ctx}"
+                    );
+                }
+                assert_eq!(q.query_count(plan), reference.len(), "{ctx}");
+            }
+        };
+        match view {
+            View::Owner => {
+                exercise(&mut it);
+                evidence(&it)
+            }
+            View::Writer => {
+                let (_handle, mut writer) = ConcurrentTable::new(it);
+                exercise(&mut writer);
+                writer.absorb_feedback();
+                evidence(writer.staging())
+            }
+            View::Snapshot | View::CachedSnapshot | View::Handle => {
+                let (mut handle, mut writer) = match view {
+                    View::CachedSnapshot => cached(it),
+                    _ => ConcurrentTable::new(it),
+                };
+                match view {
+                    View::Handle => exercise(&mut handle),
+                    _ => exercise(&mut handle.snapshot()),
+                }
+                writer.absorb_feedback();
+                evidence(writer.staging())
+            }
+        }
+    }
+
+    #[test]
+    fn every_view_answers_exactly_and_traced_records_like_untraced() {
+        let plans = [
+            (Plan::scan(vec![1]).distinct(vec![0]), false),
+            (Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]), true),
+            // Unindexed control: column 0 carries no index.
+            (Plan::scan(vec![0]).distinct(vec![0]), false),
+        ];
+        for view in [
+            View::Owner,
+            View::Snapshot,
+            View::CachedSnapshot,
+            View::Handle,
+            View::Writer,
+        ] {
+            for pending in [false, true] {
+                let untraced = drive(view, pending, false, &plans);
+                let traced = drive(view, pending, true, &plans);
+                assert_eq!(traced, untraced, "{view:?} pending={pending}");
+                // Every view binds the NSC index for the sort, so the
+                // evidence is never trivially empty.
+                assert_ne!(untraced[2], "bound 0 measured 0 saved 0 executed 0");
+            }
+        }
+    }
+
     #[test]
     fn writer_facade_queries_staged_state() {
         use patchindex::ConcurrentTable;
