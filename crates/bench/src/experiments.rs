@@ -775,8 +775,7 @@ pub fn planner() -> String {
     use patchindex::{IndexCatalog, IndexedTable};
     use pi_exec::ops::sort::SortOrder;
     use pi_planner::{
-        execute_count, execute_count_with, optimize, prune_for_partition, Plan, Pruning,
-        QueryEngine,
+        execute_count, lower, optimize, prune_for_partition, ExecOpts, Plan, Pruning, QueryEngine,
     };
 
     let parts = env_usize("PI_PLAN_PARTS", 16);
@@ -841,17 +840,16 @@ pub fn planner() -> String {
     let t_ref = time_best(3, || {
         assert_eq!(execute_count(&plan, &t, pi_planner::NO_INDEXES), expected)
     });
+    let global = ExecOpts {
+        pruning: Pruning::Global,
+        ..ExecOpts::default()
+    };
     let t_global = time_best(3, || {
-        assert_eq!(
-            execute_count_with(&opt, &t, &indexes, Pruning::Global),
-            expected
-        )
+        let mut root = lower(&opt, &t, &indexes, &global);
+        assert_eq!(pi_exec::count_rows(root.as_mut()), expected)
     });
     let t_local = time_best(3, || {
-        assert_eq!(
-            execute_count_with(&opt, &t, &indexes, Pruning::PerPartition),
-            expected
-        )
+        assert_eq!(execute_count(&opt, &t, &indexes), expected)
     });
 
     let mut out = format!(

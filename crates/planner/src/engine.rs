@@ -1,62 +1,67 @@
-//! The query facade: snapshot → (flush if required) → optimize → execute.
+//! The query facade: one pipeline from a logical plan to its answer.
 //!
-//! Before this existed, callers hand-wired planner and executor
-//! (`optimize(plan, info)` + `execute(plan, table, index)`) and could
-//! silently query stale pending state under deferred maintenance.
-//! [`QueryEngine::query`] encapsulates the whole pipeline:
+//! Every [`QueryEngine`] entry point — `query`, `query_count` and
+//! `query_traced`, on every table view — is a call to the private
+//! `run`, which
 //!
-//! 1. snapshot the [`IndexCatalog`] (all indexes, per-partition stats),
-//! 2. optimize against the full catalog with zero-branch pruning,
-//! 3. apply the **NUC-disjointness rule** (see [`patchindex`]'s deferred
-//!    module): if the chosen plan binds a NUC index with staged deferred
-//!    maintenance, flush *that index* first — its disjointness invariant
-//!    is suspended while pending — and re-plan against the fresh counts.
-//!    NSC/NCC/exception flows stay exact while pending and never force a
-//!    flush,
-//! 4. lower with per-partition zero-branch pruning and execute.
+//! 1. plans against the view's [`IndexCatalog`] with zero-branch pruning,
+//!    under the view's planning policy (below),
+//! 2. records the query's advisable shapes into the workload evidence,
+//! 3. probes the view's [`ResultCache`], if it has one, under the chosen
+//!    plan's canonical fingerprint plus the [`QueryMode`] byte,
+//! 4. on a miss, records the estimated-savings feedback, lowers and
+//!    executes — with the partition footprint when the result will be
+//!    cached or traced, with per-operator meters when traced — records
+//!    the measured timing and fills the cache,
+//! 5. counts the query in the view's metrics registry and, when traced,
+//!    assembles the EXPLAIN ANALYZE [`QueryTrace`].
 //!
-//! The facade is implemented for three table views:
+//! Only two things differ between the views, and a small private trait
+//! with two impls carries them:
 //!
-//! * [`IndexedTable`] — the single-threaded owner path above;
-//! * [`TableSnapshot`] — concurrent readers. A snapshot is immutable, so
-//!   step 3 cannot flush; a chosen plan that binds a pending NUC index
-//!   is instead **re-optimized with just the pending NUC entries masked
-//!   out** of the catalog (the pending-NUC masking rule of
+//! * **Planning policy.** The owner ([`IndexedTable`], and through its
+//!   staging table the [`TableWriter`]) applies the **NUC-disjointness
+//!   rule** of [`patchindex`]'s deferred module: if the chosen plan binds
+//!   a NUC index with staged deferred maintenance, it flushes *that
+//!   index* — its disjointness invariant is suspended while pending — and
+//!   re-plans against the fresh counts. A [`TableSnapshot`] is immutable
+//!   and cannot flush; it re-plans with just the pending NUC entries
+//!   masked out of the catalog (the pending-NUC masking rule of
 //!   [`patchindex::snapshot`]), so NSC/NCC/exception rewrites at other
-//!   sites survive and only the suspended binding reverts. Catalogs are
-//!   precomputed at publish time, and workload evidence (query log,
-//!   feedback, measured timings) is reported to the snapshot's
-//!   [`WorkloadSink`] for the writer to absorb;
-//! * [`TableWriter`] — delegates to its staging [`IndexedTable`] (writer
-//!   queries see staged state immediately; flushes it performs become
-//!   visible to readers at the next publish).
+//!   sites survive and only the suspended binding reverts.
+//! * **Evidence sink.** The owner records the query log, feedback and
+//!   timings on its indexes by slot. A snapshot reports them as
+//!   [`WorkloadEvent`]s to its [`patchindex::WorkloadSink`] for the
+//!   writer to absorb.
 //!
-//! The executing entry points (`query` / `query_count`) additionally
-//! measure wall-clock execution time and feed the elapsed microseconds —
-//! next to the chosen plan's cost-model estimate — into each bound
-//! index's [`patchindex::QueryFeedback`], so the advisor can weigh *real*
-//! timings, not just estimates.
+//! The trait also supplies what only a snapshot carries: the result
+//! cache (with its epoch and catalog) and the metrics registry. The owner
+//! never uses a cache, and a snapshot never flushes. A
+//! [`ConcurrentTable`] queries a fresh snapshot per call.
+//!
+//! Feedback and timing are recorded only for plans that executed and
+//! bind at least one index: a cache hit executed nothing, and its ~0µs
+//! would corrupt the advisor's cost calibration. Shapes are recorded for
+//! every executed query, hits included — a hit is still demand.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use patchindex::snapshot::WorkloadEvent;
 use patchindex::{
-    CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexedTable, QueryShape,
-    ResultCache, SortDir, TableSnapshot, TableWriter,
+    CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexedTable, PatchIndex,
+    QueryShape, ResultCache, SortDir, TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_exec::Batch;
-
-use pi_obs::{CacheOutcome, PlannerTrace, QueryTrace};
+use pi_exec::{collect, count_rows, Batch};
+use pi_obs::{CacheOutcome, MetricsRegistry, PlannerTrace, QueryTrace};
+use pi_storage::Table;
 
 use crate::cost::estimate;
 use crate::fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
 use crate::logical::Plan;
 use crate::optimizer::{optimize_with_stats, OptimizeStats};
-use crate::physical::{
-    execute, execute_count, execute_count_traced, execute_metered, execute_traced, ExecTrace,
-    TouchLog,
-};
+use crate::physical::{lower, ExecOpts, ExecTrace, TouchLog};
 
 /// Every PatchScan slot the plan binds, sorted and deduplicated.
 fn bound_slots(plan: &Plan) -> Vec<usize> {
@@ -79,22 +84,24 @@ fn bound_slots(plan: &Plan) -> Vec<usize> {
     slots
 }
 
+/// Whether the catalog entry is a NUC index with staged deferred
+/// maintenance — its disjointness invariant is suspended.
+fn pending_nuc(e: &patchindex::IndexStats) -> bool {
+    e.pending && e.constraint == Constraint::NearlyUnique
+}
+
 /// PatchScan slots whose binding requires the NUC disjointness invariant
 /// that a pending flush currently suspends.
 fn stale_nuc_slots(plan: &Plan, cat: &IndexCatalog) -> Vec<usize> {
     let mut slots = bound_slots(plan);
-    slots.retain(|&s| {
-        cat.by_slot(s)
-            .is_some_and(|e| e.pending && e.constraint == Constraint::NearlyUnique)
-    });
+    slots.retain(|&s| cat.by_slot(s).is_some_and(pending_nuc));
     slots
 }
 
 /// Collects the advisable (column, shape) sites of a reference plan — a
 /// single-column Distinct or Sort directly over a Scan is exactly the
 /// pattern the PatchIndex rewrites (and hence the advisor's create rule)
-/// can serve. The owner path records these into the table's query log;
-/// the snapshot path reports them to the sink.
+/// can serve.
 fn query_shapes(plan: &Plan, out: &mut Vec<(usize, QueryShape)>) {
     match plan {
         Plan::Distinct { input, cols } => {
@@ -189,558 +196,406 @@ pub trait QueryEngine {
     }
 }
 
-/// The planning pipeline behind the facade. Workload accounting (query
-/// log + optimizer feedback) only runs with `record` set: the executing
-/// entry points record exactly once per query, while `plan_query` stays
-/// side-effect-free on the counters — an EXPLAIN-then-run sequence
-/// (`plan_query` + `query`) must not double-count its workload evidence.
-fn plan_for(it: &mut IndexedTable, plan: &Plan, record: bool, stats: &mut OptimizeStats) -> Plan {
-    if record {
-        let mut shapes = Vec::new();
-        query_shapes(plan, &mut shapes);
-        for (col, shape) in shapes {
-            it.record_query(col, shape);
-        }
+/// One piece of workload evidence, addressed by index slot.
+enum Evidence {
+    /// The query scanned a column through an advisable shape.
+    Query(usize, QueryShape),
+    /// The chosen plan bound the slot, estimated to save this many cost
+    /// units (the slot's share) over the unrewritten plan.
+    Feedback(usize, f64),
+    /// A measured execution that bound the slot: the slot's shares of
+    /// the wall-clock micros and of the chosen plan's estimated cost.
+    Timing(usize, f64, f64),
+}
+
+/// A view's result cache, with what a probe or an insert needs beside it.
+struct CacheAccess<'a> {
+    cache: &'a ResultCache,
+    token: u64,
+    epoch: u64,
+    /// The catalog fingerprints are taken against.
+    catalog: &'a IndexCatalog,
+}
+
+/// What differs between the owner and a snapshot; see the module docs.
+trait View {
+    /// Whether traces report a cache outcome. A snapshot always does
+    /// (`Uncached` without a cache); the owner has no cache concept.
+    const REPORTS_CACHE: bool;
+    fn table(&self) -> &Table;
+    fn indexes(&self) -> &[Arc<PatchIndex>];
+    /// The planning policy: chooses the plan to execute, leaving the
+    /// final planning pass's decision counters in `stats` and any masked
+    /// pending-NUC slots in `masked`. Records no evidence.
+    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats, masked: &mut Vec<usize>) -> Plan;
+    /// Estimated costs of `plan` and of its chosen form `chosen`, against
+    /// the catalog `choose` planned on.
+    fn costs(&mut self, plan: &Plan, chosen: &Plan) -> (f64, f64);
+    /// The evidence sink.
+    fn record(&mut self, evidence: Evidence);
+    fn cache(&self) -> Option<CacheAccess<'_>>;
+    fn registry(&self) -> Option<&MetricsRegistry>;
+}
+
+impl View for IndexedTable {
+    const REPORTS_CACHE: bool = false;
+
+    fn table(&self) -> &Table {
+        IndexedTable::table(self)
     }
-    let with_distinct_stats = plan.contains_distinct();
-    loop {
-        // The catalog is *borrowed* from the mutation-invalidated cache
-        // (repeated queries between updates re-read counters, no
-        // re-hashing, no clone), so everything consulting it happens in
-        // this scope; the mutations below run after the borrow ends.
-        let (chosen, stale, feedback) = {
-            let cat = it.query_catalog(with_distinct_stats);
-            // Reset each round so the trace reports the final planning
-            // pass (post-flush counts), not the sum over flush retries.
-            *stats = OptimizeStats::default();
-            let chosen = optimize_with_stats(plan.clone(), &cat, true, stats);
-            let stale = stale_nuc_slots(&chosen, &cat);
-            // Optimizer feedback: how much the chosen plan's rewrites
-            // are estimated to save vs the unrewritten plan, split
-            // across the indexes it binds. The advisor's drop rule
-            // weighs this benefit against maintenance cost.
-            let feedback = if record && stale.is_empty() {
-                let bound = bound_slots(&chosen);
-                (!bound.is_empty()).then(|| {
-                    let saved = (estimate(plan, &cat) - estimate(&chosen, &cat)).max(0.0)
-                        / bound.len() as f64;
-                    (bound, saved)
-                })
-            } else {
-                None
+
+    fn indexes(&self) -> &[Arc<PatchIndex>] {
+        IndexedTable::indexes(self)
+    }
+
+    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats, _: &mut Vec<usize>) -> Plan {
+        let with_distinct_stats = plan.contains_distinct();
+        loop {
+            // The catalog is *borrowed* from the mutation-invalidated
+            // cache (repeated queries between updates re-read counters,
+            // no re-hashing, no clone); the flushes below run after the
+            // borrow ends.
+            let (chosen, stale) = {
+                let cat = self.query_catalog(with_distinct_stats);
+                // Reset each round so the trace reports the final
+                // planning pass (post-flush counts), not the sum over
+                // flush retries.
+                *stats = OptimizeStats::default();
+                let chosen = optimize_with_stats(plan.clone(), &cat, true, stats);
+                let stale = stale_nuc_slots(&chosen, &cat);
+                (chosen, stale)
             };
-            (chosen, stale, feedback)
-        };
-        if stale.is_empty() {
-            if let Some((bound, saved)) = feedback {
-                for slot in bound {
-                    it.record_query_feedback(slot, saved);
-                }
+            if stale.is_empty() {
+                return chosen;
             }
-            return chosen;
+            // Flushing changes patch counts (and may release staged
+            // rows), so re-plan against the fresh snapshot. Each round
+            // flushes at least one index; the loop terminates once no
+            // bound NUC index is pending.
+            for slot in stale {
+                self.flush_index(slot);
+            }
         }
-        // Flushing changes patch counts (and may release staged
-        // rows), so re-plan against the fresh snapshot. Each round
-        // flushes at least one index; the loop terminates once no
-        // bound NUC index is pending.
-        for slot in stale {
-            it.flush_index(slot);
+    }
+
+    fn costs(&mut self, plan: &Plan, chosen: &Plan) -> (f64, f64) {
+        let cat = self.query_catalog(plan.contains_distinct());
+        (estimate(plan, &cat), estimate(chosen, &cat))
+    }
+
+    fn record(&mut self, evidence: Evidence) {
+        match evidence {
+            Evidence::Query(col, shape) => self.record_query(col, shape),
+            Evidence::Feedback(slot, saved) => self.record_query_feedback(slot, saved),
+            Evidence::Timing(slot, micros, est) => self.record_query_timing(slot, micros, est),
         }
     }
-}
 
-/// Measured-execution bookkeeping for the owner path: the chosen plan's
-/// estimated cost and the wall-clock micros are split across the bound
-/// slots (shares, like the estimated-savings feedback).
-fn record_timing_owner(it: &mut IndexedTable, chosen: &Plan, elapsed: std::time::Duration) {
-    let bound = bound_slots(chosen);
-    if bound.is_empty() {
-        return;
+    fn cache(&self) -> Option<CacheAccess<'_>> {
+        None
     }
-    let est_cost = {
-        let cat = it.query_catalog(chosen.contains_distinct());
-        estimate(chosen, &cat)
-    };
-    let micros = elapsed.as_secs_f64() * 1e6 / bound.len() as f64;
-    let est_share = est_cost / bound.len() as f64;
-    for slot in bound {
-        it.record_query_timing(slot, micros, est_share);
+
+    fn registry(&self) -> Option<&MetricsRegistry> {
+        None
     }
 }
 
-/// Assembles a [`QueryTrace`] from the pieces every traced entry point
-/// produces. `visited`/`pruned` come from the caller because a cache hit
-/// executes nothing (both zero) while an executed query derives them
-/// from its [`TouchLog`].
-#[allow(clippy::too_many_arguments)]
-fn build_trace(
-    query: &Plan,
-    chosen: &Plan,
-    stats: &OptimizeStats,
-    plan_nanos: u64,
-    masked: Vec<usize>,
-    partitions_total: usize,
-    visited: u64,
-    pruned: u64,
-    cache: Option<CacheOutcome>,
-    operators: Vec<pi_obs::OperatorTrace>,
-    rows_out: u64,
-    total_nanos: u64,
-) -> QueryTrace {
-    QueryTrace {
-        query: query.to_string(),
-        optimized: chosen.to_string(),
-        planner: PlannerTrace {
-            candidates_enumerated: stats.candidates_enumerated,
-            cost_gated: stats.cost_gated,
-            rewrites_chosen: stats.rewrites_chosen,
-            slots_bound: bound_slots(chosen),
-            masked_pending_slots: masked,
-            nanos: plan_nanos,
-        },
-        partitions_total,
-        partitions_visited: visited,
-        partitions_pruned: pruned,
-        cache,
-        operators,
-        rows_out,
-        total_nanos,
-        spans: Vec::new(),
-    }
-}
+impl View for TableSnapshot {
+    const REPORTS_CACHE: bool = true;
 
-impl QueryEngine for IndexedTable {
-    fn plan_query(&mut self, plan: &Plan) -> Plan {
-        plan_for(self, plan, false, &mut OptimizeStats::default())
+    fn table(&self) -> &Table {
+        TableSnapshot::table(self)
     }
 
-    fn query(&mut self, plan: &Plan) -> Batch {
-        let chosen = plan_for(self, plan, true, &mut OptimizeStats::default());
-        let start = std::time::Instant::now();
-        let out = execute(&chosen, self.table(), self.indexes());
-        record_timing_owner(self, &chosen, start.elapsed());
-        out
+    fn indexes(&self) -> &[Arc<PatchIndex>] {
+        TableSnapshot::indexes(self)
     }
 
-    fn query_count(&mut self, plan: &Plan) -> usize {
-        let chosen = plan_for(self, plan, true, &mut OptimizeStats::default());
-        let start = std::time::Instant::now();
-        let out = execute_count(&chosen, self.table(), self.indexes());
-        record_timing_owner(self, &chosen, start.elapsed());
-        out
-    }
-
-    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
-        let total = std::time::Instant::now();
-        let mut stats = OptimizeStats::default();
-        let plan_start = std::time::Instant::now();
-        let chosen = plan_for(self, plan, true, &mut stats);
-        let plan_nanos = plan_start.elapsed().as_nanos() as u64;
-        let touch = TouchLog::new(self.table().partition_count());
-        let et = ExecTrace::new();
-        let start = std::time::Instant::now();
-        let out = execute_metered(&chosen, self.table(), self.indexes(), &touch, &et);
-        record_timing_owner(self, &chosen, start.elapsed());
-        let visited = touch.pulled().len() as u64;
-        let trace = build_trace(
-            plan,
-            &chosen,
-            &stats,
-            plan_nanos,
-            Vec::new(),
-            self.table().partition_count(),
-            visited,
-            self.table().partition_count() as u64 - visited,
-            None,
-            et.operators(),
-            out.len() as u64,
-            total.elapsed().as_nanos() as u64,
-        );
-        (out, trace)
-    }
-}
-
-/// The snapshot planning pipeline: optimize against the publish-time
-/// catalog, then apply the **pending-NUC masking rule** — a snapshot
-/// cannot flush, so when the chosen plan binds a NUC index with staged
-/// deferred maintenance the planner re-optimizes against a catalog with
-/// exactly those entries masked out. Rewrites that stay exact while
-/// pending (NSC, NCC, the exception flows) survive at their sites; only
-/// the suspended NUC binding reverts to reference form. Workload
-/// evidence goes to the snapshot's sink when `record` is set (once per
-/// executed query, never for plan inspection).
-fn plan_on_snapshot(snap: &TableSnapshot, plan: &Plan, record: bool) -> Plan {
-    plan_on_snapshot_obs(
-        snap,
-        plan,
-        record,
-        &mut OptimizeStats::default(),
-        &mut Vec::new(),
-    )
-}
-
-/// [`plan_on_snapshot`] with the optimizer's decision counters and the
-/// masked pending-NUC slots surfaced (the traced path puts them in the
-/// [`QueryTrace`]). Every call also feeds the `planner.*` counters of
-/// the table's metrics registry, when one is attached.
-fn plan_on_snapshot_obs(
-    snap: &TableSnapshot,
-    plan: &Plan,
-    record: bool,
-    stats: &mut OptimizeStats,
-    masked_slots: &mut Vec<usize>,
-) -> Plan {
-    let cat = snap.catalog();
-    if record {
-        record_shapes_snapshot(snap, plan);
-    }
-    let mut chosen = optimize_with_stats(plan.clone(), cat, true, stats);
-    if !stale_nuc_slots(&chosen, cat).is_empty() {
-        // Readers cannot flush; masking just the pending NUC entries
-        // (their slot numbers live in the entries, not positions, so
-        // surviving bindings still address the live index array) keeps
-        // every other rewrite. The writer's next flushed publish
-        // restores the NUC rewrite for subsequent snapshots.
-        let masked = IndexCatalog {
-            part_rows: cat.part_rows.clone(),
-            indexes: cat
-                .indexes
+    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats, masked: &mut Vec<usize>) -> Plan {
+        let cat = self.catalog();
+        let mut chosen = optimize_with_stats(plan.clone(), cat, true, stats);
+        if !stale_nuc_slots(&chosen, cat).is_empty() {
+            // Readers cannot flush; masking just the pending NUC entries
+            // (their slot numbers live in the entries, not positions, so
+            // surviving bindings still address the live index array)
+            // keeps every other rewrite. The writer's next flushed
+            // publish restores the NUC rewrite for subsequent snapshots.
+            let (pending, kept) = cat.indexes.iter().cloned().partition(pending_nuc);
+            let masked_cat = IndexCatalog {
+                part_rows: cat.part_rows.clone(),
+                indexes: kept,
+            };
+            *masked = pending
                 .iter()
-                .filter(|e| !(e.pending && e.constraint == Constraint::NearlyUnique))
-                .cloned()
-                .collect(),
+                .map(|e: &patchindex::IndexStats| e.slot)
+                .collect();
+            *stats = OptimizeStats::default();
+            chosen = optimize_with_stats(plan.clone(), &masked_cat, true, stats);
+        }
+        if let Some(reg) = self.metrics() {
+            reg.counter("planner.candidates_enumerated")
+                .add(stats.candidates_enumerated);
+            reg.counter("planner.cost_gated").add(stats.cost_gated);
+            reg.counter("planner.rewrites_chosen")
+                .add(stats.rewrites_chosen);
+            reg.counter("planner.masked_pending_slots")
+                .add(masked.len() as u64);
+        }
+        chosen
+    }
+
+    fn costs(&mut self, plan: &Plan, chosen: &Plan) -> (f64, f64) {
+        (
+            estimate(plan, self.catalog()),
+            estimate(chosen, self.catalog()),
+        )
+    }
+
+    fn record(&mut self, evidence: Evidence) {
+        let entry = |slot| {
+            self.catalog()
+                .by_slot(slot)
+                .expect("bound slot outside the catalog")
         };
-        *masked_slots = cat
-            .indexes
-            .iter()
-            .filter(|e| e.pending && e.constraint == Constraint::NearlyUnique)
-            .map(|e| e.slot)
-            .collect();
-        *stats = OptimizeStats::default();
-        chosen = optimize_with_stats(plan.clone(), &masked, true, stats);
+        let event = match evidence {
+            Evidence::Query(col, shape) => WorkloadEvent::Query { col, shape },
+            Evidence::Feedback(slot, est_cost_saved) => WorkloadEvent::Feedback {
+                column: entry(slot).column,
+                constraint: entry(slot).constraint,
+                est_cost_saved,
+            },
+            Evidence::Timing(slot, actual_micros, est_cost) => WorkloadEvent::Timing {
+                column: entry(slot).column,
+                constraint: entry(slot).constraint,
+                actual_micros,
+                est_cost,
+            },
+        };
+        self.sink().record(event);
     }
-    if let Some(reg) = snap.metrics() {
-        reg.counter("planner.candidates_enumerated")
-            .add(stats.candidates_enumerated);
-        reg.counter("planner.cost_gated").add(stats.cost_gated);
-        reg.counter("planner.rewrites_chosen")
-            .add(stats.rewrites_chosen);
-        reg.counter("planner.masked_pending_slots")
-            .add(masked_slots.len() as u64);
-    }
-    if record {
-        record_bind_feedback_snapshot(snap, plan, &chosen);
-    }
-    chosen
-}
 
-/// Engine-level registry accounting for one executed snapshot query.
-fn record_engine_metrics(snap: &TableSnapshot, elapsed: std::time::Duration) {
-    if let Some(reg) = snap.metrics() {
-        reg.counter("engine.queries").inc();
-        reg.histogram("engine.query_nanos")
-            .record(elapsed.as_nanos() as u64);
+    fn cache(&self) -> Option<CacheAccess<'_>> {
+        self.result_cache().map(|(cache, token)| CacheAccess {
+            cache,
+            token,
+            epoch: self.epoch(),
+            catalog: self.catalog(),
+        })
     }
-}
 
-/// Reports the advisable (column, shape) sites of the reference plan to
-/// the snapshot's sink. Split out of [`plan_on_snapshot`] because the
-/// cached query path records shapes on *every* execution — hit or miss —
-/// while estimated-savings feedback and measured timings are recorded
-/// only on misses (a cache hit executed nothing, so feeding its numbers
-/// to the advisor would poison its cost-model calibration).
-fn record_shapes_snapshot(snap: &TableSnapshot, plan: &Plan) {
-    let mut shapes = Vec::new();
-    query_shapes(plan, &mut shapes);
-    for (col, shape) in shapes {
-        snap.sink().record(WorkloadEvent::Query { col, shape });
+    fn registry(&self) -> Option<&MetricsRegistry> {
+        self.metrics().map(|reg| &**reg)
     }
 }
 
-/// Reports the chosen plan's estimated-savings feedback (per bound slot)
-/// to the snapshot's sink. Misses only — see [`record_shapes_snapshot`].
-fn record_bind_feedback_snapshot(snap: &TableSnapshot, plan: &Plan, chosen: &Plan) {
-    let cat = snap.catalog();
-    let bound = bound_slots(chosen);
-    if bound.is_empty() {
-        return;
-    }
-    let saved = (estimate(plan, cat) - estimate(chosen, cat)).max(0.0) / bound.len() as f64;
-    for &slot in &bound {
-        let e = cat.by_slot(slot).expect("bound slot outside the catalog");
-        snap.sink().record(WorkloadEvent::Feedback {
-            column: e.column,
-            constraint: e.constraint,
-            est_cost_saved: saved,
-        });
-    }
-}
-
-/// Sink-side counterpart of [`record_timing_owner`].
-fn record_timing_snapshot(snap: &TableSnapshot, chosen: &Plan, elapsed: std::time::Duration) {
-    let bound = bound_slots(chosen);
-    if bound.is_empty() {
-        return;
-    }
-    let cat = snap.catalog();
-    let micros = elapsed.as_secs_f64() * 1e6 / bound.len() as f64;
-    let est_share = estimate(chosen, cat) / bound.len() as f64;
-    for slot in bound {
-        let e = cat.by_slot(slot).expect("bound slot outside the catalog");
-        snap.sink().record(WorkloadEvent::Timing {
-            column: e.column,
-            constraint: e.constraint,
-            actual_micros: micros,
-            est_cost: est_share,
-        });
-    }
-}
-
-/// The dependency footprint of an executed plan on a snapshot: the
-/// partition versions the traced execution actually consulted plus every
-/// index version the chosen plan binds. Pointer identity of these Arcs
-/// is exactly "this cached result is still valid" — copy-on-write
-/// publishes replace the Arc of everything they touch and nothing else.
-fn footprint_of(snap: &TableSnapshot, chosen: &Plan, trace: &TouchLog) -> Footprint {
-    let parts = trace
+/// The dependency footprint of an execution: the partition versions it
+/// consulted plus every index version the chosen plan binds. Pointer
+/// identity of these Arcs is exactly "this cached result is still valid"
+/// — copy-on-write publishes replace the Arc of everything they touch and
+/// nothing else.
+fn footprint(view: &impl View, chosen: &Plan, touch: &TouchLog) -> Footprint {
+    let parts = touch
         .footprint()
         .into_iter()
-        .map(|pid| (pid, Arc::clone(&snap.table().partitions()[pid])))
+        .map(|pid| (pid, Arc::clone(&view.table().partitions()[pid])))
         .collect();
     let indexes = bound_slots(chosen)
         .into_iter()
-        .map(|slot| (slot, Arc::clone(&snap.indexes()[slot])))
+        .map(|slot| (slot, Arc::clone(&view.indexes()[slot])))
         .collect();
     Footprint::new(parts, indexes)
 }
 
-/// The cached snapshot query pipeline, shared by `query` and
-/// `query_count` (the `mode` byte keeps their fingerprints disjoint).
-///
-/// Plan first (planning is cheap and deterministic per snapshot), then
-/// consult the table's [`ResultCache`] under the canonical fingerprint
-/// of the *chosen* plan. On a hit the stored canonical bytes were
-/// compared — not just the hash — so the value is the exact answer:
-/// record the query-log shapes (the advisor's create rule counts demand,
-/// and a hit is demand) and return it. Feedback and timing events are
-/// deliberately NOT recorded on hits: nothing executed, and a ~0µs
-/// timing would corrupt `micros_per_cost_unit()` calibration (hits are
-/// tallied by the cache's own counters instead). On a miss, execute
-/// traced, record the full evidence, and insert the result with its
-/// dependency footprint.
-fn snapshot_query_cached(
-    snap: &TableSnapshot,
+/// The one query pipeline; see the module docs for its steps. Returns
+/// the answer — rows or a count, as `mode` asks — and, when `traced`,
+/// its EXPLAIN ANALYZE trace.
+fn run<V: View>(
+    view: &mut V,
     plan: &Plan,
-    cache: &ResultCache,
-    token: u64,
     mode: QueryMode,
-) -> CachedValue {
-    let chosen = plan_on_snapshot(snap, plan, false);
-    let canon: Arc<[u8]> = canonical_bytes(&chosen, snap.catalog(), mode).into();
-    let hash = fingerprint_hash(&canon);
-    let cached = cache.lookup(
-        token,
-        hash,
-        &canon,
-        snap.epoch(),
-        snap.table(),
-        snap.indexes(),
-    );
-    if let Some(value) = cached {
-        // A hit for the Rows fingerprint is always a Rows value (the
-        // mode byte is part of the compared canonical form), so this
-        // arm never mismatches; the guard is belt-and-braces.
-        let matches_mode = matches!(
-            (&value, mode),
-            (CachedValue::Rows(_), QueryMode::Rows) | (CachedValue::Count(_), QueryMode::Count)
-        );
-        if matches_mode {
-            record_shapes_snapshot(snap, plan);
-            return value;
-        }
-    }
-    record_shapes_snapshot(snap, plan);
-    record_bind_feedback_snapshot(snap, plan, &chosen);
-    let trace = TouchLog::new(snap.table().partition_count());
-    let start = std::time::Instant::now();
-    let value = match mode {
-        QueryMode::Rows => CachedValue::Rows(execute_traced(
-            &chosen,
-            snap.table(),
-            snap.indexes(),
-            &trace,
-        )),
-        QueryMode::Count => {
-            CachedValue::Count(
-                execute_count_traced(&chosen, snap.table(), snap.indexes(), &trace) as u64,
-            )
-        }
-    };
-    record_timing_snapshot(snap, &chosen, start.elapsed());
-    let footprint = footprint_of(snap, &chosen, &trace);
-    cache.insert(token, hash, canon, snap.epoch(), value.clone(), footprint);
-    value
-}
-
-/// The traced snapshot pipeline behind `TableSnapshot::query_traced` —
-/// the EXPLAIN ANALYZE sibling of [`snapshot_query_cached`], with the
-/// same caching and evidence rules: a hit records shapes only (nothing
-/// executed, so its trace carries no operators and zero partitions), a
-/// miss executes metered, records full evidence and inserts the result
-/// with its dependency footprint.
-fn snapshot_query_traced(snap: &TableSnapshot, plan: &Plan) -> (Batch, QueryTrace) {
-    let total = std::time::Instant::now();
+    traced: bool,
+) -> (CachedValue, Option<QueryTrace>) {
+    let start = Instant::now();
     let mut stats = OptimizeStats::default();
     let mut masked = Vec::new();
-    let plan_start = std::time::Instant::now();
-    let chosen = plan_on_snapshot_obs(snap, plan, false, &mut stats, &mut masked);
-    let plan_nanos = plan_start.elapsed().as_nanos() as u64;
-    let parts = snap.table().partition_count();
-
-    if let Some((cache, token)) = snap.result_cache() {
-        let canon: Arc<[u8]> = canonical_bytes(&chosen, snap.catalog(), QueryMode::Rows).into();
-        let hash = fingerprint_hash(&canon);
-        let cached = cache.lookup(
-            token,
-            hash,
-            &canon,
-            snap.epoch(),
-            snap.table(),
-            snap.indexes(),
-        );
-        if let Some(CachedValue::Rows(rows)) = cached {
-            record_shapes_snapshot(snap, plan);
-            let elapsed = total.elapsed();
-            record_engine_metrics(snap, elapsed);
-            let trace = build_trace(
-                plan,
-                &chosen,
-                &stats,
-                plan_nanos,
-                masked,
-                parts,
-                0,
-                0,
-                Some(CacheOutcome::Hit),
-                Vec::new(),
-                rows.len() as u64,
-                elapsed.as_nanos() as u64,
-            );
-            return (rows, trace);
-        }
-        record_shapes_snapshot(snap, plan);
-        record_bind_feedback_snapshot(snap, plan, &chosen);
-        let touch = TouchLog::new(parts);
-        let et = ExecTrace::new();
-        let start = std::time::Instant::now();
-        let rows = execute_metered(&chosen, snap.table(), snap.indexes(), &touch, &et);
-        record_timing_snapshot(snap, &chosen, start.elapsed());
-        let footprint = footprint_of(snap, &chosen, &touch);
-        cache.insert(
-            token,
-            hash,
-            canon,
-            snap.epoch(),
-            CachedValue::Rows(rows.clone()),
-            footprint,
-        );
-        let visited = touch.pulled().len() as u64;
-        let elapsed = total.elapsed();
-        record_engine_metrics(snap, elapsed);
-        let trace = build_trace(
-            plan,
-            &chosen,
-            &stats,
-            plan_nanos,
-            masked,
-            parts,
-            visited,
-            parts as u64 - visited,
-            Some(CacheOutcome::Miss),
-            et.operators(),
-            rows.len() as u64,
-            elapsed.as_nanos() as u64,
-        );
-        return (rows, trace);
+    let chosen = view.choose(plan, &mut stats, &mut masked);
+    let plan_nanos = start.elapsed().as_nanos() as u64;
+    let mut shapes = Vec::new();
+    query_shapes(plan, &mut shapes);
+    for (col, shape) in shapes {
+        view.record(Evidence::Query(col, shape));
     }
 
-    record_shapes_snapshot(snap, plan);
-    record_bind_feedback_snapshot(snap, plan, &chosen);
-    let touch = TouchLog::new(parts);
-    let et = ExecTrace::new();
-    let start = std::time::Instant::now();
-    let rows = execute_metered(&chosen, snap.table(), snap.indexes(), &touch, &et);
-    record_timing_snapshot(snap, &chosen, start.elapsed());
-    let visited = touch.pulled().len() as u64;
-    let elapsed = total.elapsed();
-    record_engine_metrics(snap, elapsed);
-    let trace = build_trace(
-        plan,
-        &chosen,
-        &stats,
-        plan_nanos,
-        masked,
-        parts,
-        visited,
-        parts as u64 - visited,
-        Some(CacheOutcome::Uncached),
-        et.operators(),
-        rows.len() as u64,
-        elapsed.as_nanos() as u64,
-    );
-    (rows, trace)
+    // Planning is cheap and deterministic per snapshot, so the cache is
+    // keyed by the *chosen* plan. The stored canonical bytes are compared
+    // on every probe — not just the hash — so a hit is the exact answer.
+    let mut key = None;
+    let mut hit = None;
+    if let Some(c) = view.cache() {
+        let canon: Arc<[u8]> = canonical_bytes(&chosen, c.catalog, mode).into();
+        let hash = fingerprint_hash(&canon);
+        let (table, indexes) = (view.table(), view.indexes());
+        // The mode byte is part of the compared canonical form, so a hit
+        // always has the asked-for kind; the filter is belt-and-braces.
+        hit = c
+            .cache
+            .lookup(c.token, hash, &canon, c.epoch, table, indexes)
+            .filter(|v| {
+                matches!(
+                    (v, mode),
+                    (CachedValue::Rows(_), QueryMode::Rows)
+                        | (CachedValue::Count(_), QueryMode::Count)
+                )
+            });
+        key = Some((hash, canon));
+    }
+    let outcome = match (&hit, &key) {
+        (Some(_), _) => CacheOutcome::Hit,
+        (None, Some(_)) => CacheOutcome::Miss,
+        (None, None) => CacheOutcome::Uncached,
+    };
+
+    let parts = view.table().partition_count();
+    let meter = traced.then(ExecTrace::new);
+    let mut touch = None;
+    let value = match hit {
+        Some(value) => value,
+        None => {
+            let bound = bound_slots(&chosen);
+            let share = bound.len() as f64;
+            let costs = (!bound.is_empty()).then(|| view.costs(plan, &chosen));
+            if let Some((reference, cost)) = costs {
+                let saved = (reference - cost).max(0.0) / share;
+                for &slot in &bound {
+                    view.record(Evidence::Feedback(slot, saved));
+                }
+            }
+            touch = (traced || key.is_some()).then(|| TouchLog::new(parts));
+            let opts = ExecOpts {
+                touch: touch.as_ref(),
+                meter: meter.as_ref(),
+                ..ExecOpts::default()
+            };
+            let exec = Instant::now();
+            let mut root = lower(&chosen, view.table(), view.indexes(), &opts);
+            let value = match mode {
+                QueryMode::Rows => CachedValue::Rows(collect(root.as_mut())),
+                QueryMode::Count => CachedValue::Count(count_rows(root.as_mut()) as u64),
+            };
+            drop(root);
+            if let Some((_, cost)) = costs {
+                let micros = exec.elapsed().as_secs_f64() * 1e6 / share;
+                for slot in bound {
+                    view.record(Evidence::Timing(slot, micros, cost / share));
+                }
+            }
+            if let (Some(c), Some((hash, canon)), Some(touch)) = (view.cache(), key, &touch) {
+                let footprint = footprint(view, &chosen, touch);
+                c.cache
+                    .insert(c.token, hash, canon, c.epoch, value.clone(), footprint);
+            }
+            value
+        }
+    };
+
+    let total_nanos = start.elapsed().as_nanos() as u64;
+    if let Some(reg) = view.registry() {
+        reg.counter("engine.queries").inc();
+        reg.histogram("engine.query_nanos").record(total_nanos);
+    }
+    let trace = traced.then(|| {
+        // A cache hit executed nothing: no operators, no partitions.
+        let visited = touch.map_or(0, |t| t.pulled().len() as u64);
+        let pruned = if outcome == CacheOutcome::Hit {
+            0
+        } else {
+            parts as u64 - visited
+        };
+        QueryTrace {
+            query: plan.to_string(),
+            optimized: chosen.to_string(),
+            planner: PlannerTrace {
+                candidates_enumerated: stats.candidates_enumerated,
+                cost_gated: stats.cost_gated,
+                rewrites_chosen: stats.rewrites_chosen,
+                slots_bound: bound_slots(&chosen),
+                masked_pending_slots: masked,
+                nanos: plan_nanos,
+            },
+            partitions_total: parts,
+            partitions_visited: visited,
+            partitions_pruned: pruned,
+            cache: V::REPORTS_CACHE.then_some(outcome),
+            operators: meter.map_or_else(Vec::new, |m| m.operators()),
+            rows_out: match &value {
+                CachedValue::Rows(b) => b.len() as u64,
+                CachedValue::Count(n) => *n,
+            },
+            total_nanos,
+        }
+    });
+    (value, trace)
+}
+
+/// The rows of a [`QueryMode::Rows`] answer.
+fn rows(value: CachedValue) -> Batch {
+    match value {
+        CachedValue::Rows(rows) => rows,
+        CachedValue::Count(_) => unreachable!("a rows query answered with a count"),
+    }
+}
+
+/// The count of a [`QueryMode::Count`] answer.
+fn count(value: CachedValue) -> usize {
+    match value {
+        CachedValue::Count(n) => n as usize,
+        CachedValue::Rows(_) => unreachable!("a count query answered with rows"),
+    }
+}
+
+/// A traced [`QueryMode::Rows`] answer.
+fn traced_rows((value, trace): (CachedValue, Option<QueryTrace>)) -> (Batch, QueryTrace) {
+    (rows(value), trace.expect("a traced run builds its trace"))
+}
+
+impl QueryEngine for IndexedTable {
+    fn plan_query(&mut self, plan: &Plan) -> Plan {
+        self.choose(plan, &mut OptimizeStats::default(), &mut Vec::new())
+    }
+
+    fn query(&mut self, plan: &Plan) -> Batch {
+        rows(run(self, plan, QueryMode::Rows, false).0)
+    }
+
+    fn query_count(&mut self, plan: &Plan) -> usize {
+        count(run(self, plan, QueryMode::Count, false).0)
+    }
+
+    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
+        traced_rows(run(self, plan, QueryMode::Rows, true))
+    }
 }
 
 /// Concurrent readers: all methods are internally `&self` (the `&mut`
 /// receiver is the trait's shape, not a mutation) — clone the snapshot
 /// per thread and query away; maintenance never blocks these. When the
 /// table was built with a [`ResultCache`], the executing entry points
-/// consult it first (see `snapshot_query_cached`).
+/// consult it first.
 impl QueryEngine for TableSnapshot {
     fn plan_query(&mut self, plan: &Plan) -> Plan {
-        plan_on_snapshot(self, plan, false)
+        self.choose(plan, &mut OptimizeStats::default(), &mut Vec::new())
     }
 
     fn query(&mut self, plan: &Plan) -> Batch {
-        let total = std::time::Instant::now();
-        if let Some((cache, token)) = self.result_cache() {
-            match snapshot_query_cached(self, plan, cache, token, QueryMode::Rows) {
-                CachedValue::Rows(rows) => {
-                    record_engine_metrics(self, total.elapsed());
-                    return rows;
-                }
-                CachedValue::Count(_) => unreachable!("Rows fingerprint yielded a count"),
-            }
-        }
-        let chosen = plan_on_snapshot(self, plan, true);
-        let start = std::time::Instant::now();
-        let out = execute(&chosen, self.table(), self.indexes());
-        record_timing_snapshot(self, &chosen, start.elapsed());
-        record_engine_metrics(self, total.elapsed());
-        out
+        rows(run(self, plan, QueryMode::Rows, false).0)
     }
 
     fn query_count(&mut self, plan: &Plan) -> usize {
-        let total = std::time::Instant::now();
-        if let Some((cache, token)) = self.result_cache() {
-            match snapshot_query_cached(self, plan, cache, token, QueryMode::Count) {
-                CachedValue::Count(n) => {
-                    record_engine_metrics(self, total.elapsed());
-                    return n as usize;
-                }
-                CachedValue::Rows(_) => unreachable!("Count fingerprint yielded rows"),
-            }
-        }
-        let chosen = plan_on_snapshot(self, plan, true);
-        let start = std::time::Instant::now();
-        let out = execute_count(&chosen, self.table(), self.indexes());
-        record_timing_snapshot(self, &chosen, start.elapsed());
-        record_engine_metrics(self, total.elapsed());
-        out
+        count(run(self, plan, QueryMode::Count, false).0)
     }
 
     fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
-        snapshot_query_traced(self, plan)
+        traced_rows(run(self, plan, QueryMode::Rows, true))
     }
 }
 
@@ -791,7 +646,7 @@ impl QueryEngine for TableWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NO_INDEXES;
+    use crate::{execute, execute_count, NO_INDEXES};
     use patchindex::{Design, MaintenanceMode, MaintenancePolicy, SortDir};
     use pi_exec::ops::sort::SortOrder;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -1375,7 +1230,7 @@ mod tests {
 
     /// The views the facade is implemented for.
     #[derive(Debug, Clone, Copy)]
-    enum View {
+    enum Kind {
         Owner,
         Snapshot,
         CachedSnapshot,
@@ -1422,7 +1277,7 @@ mod tests {
     /// through `query` — or `query_traced` when `traced` — and once
     /// through `query_count`, checking each answer against the
     /// index-free reference. Returns the evidence the view left behind.
-    fn drive(view: View, pending: bool, traced: bool, plans: &[(Plan, bool)]) -> Vec<String> {
+    fn drive(view: Kind, pending: bool, traced: bool, plans: &[(Plan, bool)]) -> Vec<String> {
         let mut it = fresh(4);
         if pending {
             it.set_policy(deferred());
@@ -1458,23 +1313,23 @@ mod tests {
             }
         };
         match view {
-            View::Owner => {
+            Kind::Owner => {
                 exercise(&mut it);
                 evidence(&it)
             }
-            View::Writer => {
+            Kind::Writer => {
                 let (_handle, mut writer) = ConcurrentTable::new(it);
                 exercise(&mut writer);
                 writer.absorb_feedback();
                 evidence(writer.staging())
             }
-            View::Snapshot | View::CachedSnapshot | View::Handle => {
+            Kind::Snapshot | Kind::CachedSnapshot | Kind::Handle => {
                 let (mut handle, mut writer) = match view {
-                    View::CachedSnapshot => cached(it),
+                    Kind::CachedSnapshot => cached(it),
                     _ => ConcurrentTable::new(it),
                 };
                 match view {
-                    View::Handle => exercise(&mut handle),
+                    Kind::Handle => exercise(&mut handle),
                     _ => exercise(&mut handle.snapshot()),
                 }
                 writer.absorb_feedback();
@@ -1492,11 +1347,11 @@ mod tests {
             (Plan::scan(vec![0]).distinct(vec![0]), false),
         ];
         for view in [
-            View::Owner,
-            View::Snapshot,
-            View::CachedSnapshot,
-            View::Handle,
-            View::Writer,
+            Kind::Owner,
+            Kind::Snapshot,
+            Kind::CachedSnapshot,
+            Kind::Handle,
+            Kind::Writer,
         ] {
             for pending in [false, true] {
                 let untraced = drive(view, pending, false, &plans);

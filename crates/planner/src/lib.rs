@@ -32,8 +32,6 @@ pub use logical::Plan;
 pub use optimizer::{optimize, optimize_with_stats, rewrite, zero_branch_prune, OptimizeStats};
 pub use patchindex::{IndexCatalog, IndexStats, PartitionStats};
 pub use physical::{
-    execute, execute_count, execute_count_metered, execute_count_traced, execute_count_with,
-    execute_metered, execute_traced, lower_global, lower_global_metered, lower_global_traced,
-    lower_global_with, lower_partition, prune_for_partition, ExecTrace, Pruning, TouchLog,
-    NO_INDEXES,
+    execute, execute_count, execute_traced, lower, prune_for_partition, ExecOpts, ExecTrace,
+    Pruning, TouchLog, NO_INDEXES,
 };

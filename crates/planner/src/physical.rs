@@ -32,7 +32,7 @@ use pi_exec::ops::patch_select::PatchMode;
 use pi_exec::ops::probe::ProbeOp;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::SortOp;
-use pi_exec::{collect, Batch, OpRef};
+use pi_exec::{collect, count_rows, Batch, OpRef};
 use pi_obs::OperatorTrace;
 use pi_storage::Table;
 
@@ -228,33 +228,10 @@ pub fn prune_for_partition<'a, I: Borrow<PatchIndex>>(
     crate::optimizer::prune_zero_branches(plan, &leaf, true)
 }
 
-fn maybe_prune<'a, I: Borrow<PatchIndex>>(
-    plan: &'a Plan,
-    table: &Table,
-    indexes: &[I],
-    pid: usize,
-    pruning: Pruning,
-) -> Option<Cow<'a, Plan>> {
-    match pruning {
-        Pruning::Global => Some(Cow::Borrowed(plan)),
-        Pruning::PerPartition => prune_for_partition(plan, table, indexes, pid),
-    }
-}
-
 /// Lowers `plan` for a single partition (no global recombination, no
-/// pruning — callers prune first).
-pub fn lower_partition<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pid: usize,
-) -> OpRef<'a> {
-    lower_partition_obs(plan, table, indexes, pid, None)
-}
-
-/// [`lower_partition`], wrapping every plan node in a [`MeterOp`] when a
-/// metered lowering is active.
-fn lower_partition_obs<'a, I: Borrow<PatchIndex>>(
+/// pruning — callers prune first), wrapping every plan node in a
+/// [`MeterOp`] when a metered lowering is active.
+fn lower_partition<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
@@ -290,27 +267,27 @@ fn lower_partition_obs<'a, I: Borrow<PatchIndex>>(
             Box::new(pi_exec::ops::filter::ProjectOp::new(filtered, keep))
         }
         Plan::Distinct { input, cols } => Box::new(HashAggOp::distinct(
-            lower_partition_obs(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, et),
             cols.clone(),
         )),
         Plan::Sort { input, keys } => Box::new(SortOp::new(
-            lower_partition_obs(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, et),
             keys.clone(),
         )),
         Plan::Limit { input, n } => Box::new(LimitOp::new(
-            lower_partition_obs(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, et),
             *n,
         )),
         Plan::Union { inputs } => Box::new(UnionAllOp::new(
             inputs
                 .iter()
-                .map(|p| lower_partition_obs(p, table, indexes, pid, et))
+                .map(|p| lower_partition(p, table, indexes, pid, et))
                 .collect(),
         )),
         Plan::Merge { inputs, keys } => Box::new(OrderedMergeOp::new(
             inputs
                 .iter()
-                .map(|p| lower_partition_obs(p, table, indexes, pid, et))
+                .map(|p| lower_partition(p, table, indexes, pid, et))
                 .collect(),
             keys.clone(),
         )),
@@ -327,6 +304,23 @@ fn limit_pushes_down(plan: &Plan) -> bool {
     matches!(plan, Plan::Scan { .. } | Plan::PatchScan { .. })
 }
 
+/// The choices one lowering makes: how to prune, and which
+/// instrumentation to attach. The default is the plain execution —
+/// per-partition pruning, no footprint, no meters.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecOpts<'a> {
+    /// How zero-branch pruning is applied.
+    pub pruning: Pruning,
+    /// Wraps every per-partition pipeline in a pull probe reporting to
+    /// this log — the footprint-capturing lowering behind the result
+    /// cache. See [`TouchLog`] for the soundness argument.
+    pub touch: Option<&'a TouchLog>,
+    /// Per-operator metering (EXPLAIN ANALYZE): every plan node per
+    /// partition and every global combine reports wall clock, batch and
+    /// row counts here. Meters observe batches, they never alter them.
+    pub meter: Option<&'a ExecTrace>,
+}
+
 /// Wraps a finished per-partition pipeline in a [`ProbeOp`] when a
 /// [`TouchLog`] is tracing this lowering.
 fn probe<'a>(op: OpRef<'a>, trace: Option<&'a TouchLog>, pid: usize) -> OpRef<'a> {
@@ -336,139 +330,70 @@ fn probe<'a>(op: OpRef<'a>, trace: Option<&'a TouchLog>, pid: usize) -> OpRef<'a
     }
 }
 
-/// [`maybe_prune`], additionally recording a pruned-to-nothing partition
-/// as consulted-empty in the trace (the result depends on its emptiness).
-fn maybe_prune_traced<'a, I: Borrow<PatchIndex>>(
-    plan: &'a Plan,
+/// Specializes `plan` for partition `pid` as `opts.pruning` asks. A
+/// partition pruned to nothing is recorded as consulted-empty in the
+/// footprint: the result depends on its emptiness.
+fn prune<'p, I: Borrow<PatchIndex>>(
+    plan: &'p Plan,
     table: &Table,
     indexes: &[I],
     pid: usize,
-    pruning: Pruning,
-    trace: Option<&TouchLog>,
-) -> Option<Cow<'a, Plan>> {
-    let pruned = maybe_prune(plan, table, indexes, pid, pruning);
-    if pruned.is_none() {
-        if let Some(t) = trace {
-            t.mark_consulted_empty(pid);
-        }
+    opts: &ExecOpts,
+) -> Option<Cow<'p, Plan>> {
+    let pruned = match opts.pruning {
+        Pruning::Global => Some(Cow::Borrowed(plan)),
+        Pruning::PerPartition => prune_for_partition(plan, table, indexes, pid),
+    };
+    if let (None, Some(t)) = (&pruned, opts.touch) {
+        t.mark_consulted_empty(pid);
     }
     pruned
 }
 
 /// Lowers `plan` across all partitions with the appropriate global
-/// combine, pruning per partition according to `pruning`.
-pub fn lower_global_with<'a, I: Borrow<PatchIndex>>(
+/// combine, pruning and instrumenting as `opts` asks.
+pub fn lower<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
-    pruning: Pruning,
+    opts: &ExecOpts<'a>,
 ) -> OpRef<'a> {
-    lower_global_traced(plan, table, indexes, pruning, None)
-}
-
-/// [`lower_global_with`] with every per-partition pipeline wrapped in a
-/// pull probe reporting to `trace` — the footprint-capturing lowering
-/// behind the result cache. See [`TouchLog`] for the soundness argument.
-pub fn lower_global_traced<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pruning: Pruning,
-    trace: Option<&'a TouchLog>,
-) -> OpRef<'a> {
-    lower_global_obs(plan, table, indexes, pruning, trace, None)
-}
-
-/// [`lower_global_traced`] with per-operator metering: every plan node
-/// (per partition) and every global combine reports wall clock, batch
-/// and row counts to `et` — the EXPLAIN ANALYZE lowering.
-pub fn lower_global_metered<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pruning: Pruning,
-    trace: Option<&'a TouchLog>,
-    et: &ExecTrace,
-) -> OpRef<'a> {
-    lower_global_obs(plan, table, indexes, pruning, trace, Some(et))
-}
-
-fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pruning: Pruning,
-    trace: Option<&'a TouchLog>,
-    et: Option<&ExecTrace>,
-) -> OpRef<'a> {
-    let parts = 0..table.partition_count();
-    match plan {
+    let global = |p: &Plan| lower(p, table, indexes, opts);
+    let partitions = |p: &Plan, top: Option<(&str, &dyn Fn(OpRef<'a>) -> OpRef<'a>)>| {
+        per_partition(p, table, indexes, opts, top)
+    };
+    let (combine, label): (OpRef<'a>, &str) = match plan {
         // Bags concatenate across partitions.
-        Plan::Scan { .. } | Plan::PatchScan { .. } => {
-            let combine: OpRef<'a> = Box::new(UnionAllOp::new(
-                parts
-                    .filter_map(|pid| {
-                        maybe_prune_traced(plan, table, indexes, pid, pruning, trace).map(|p| {
-                            probe(lower_partition_obs(&p, table, indexes, pid, et), trace, pid)
-                        })
-                    })
-                    .collect(),
-            ));
-            meter_wrap(combine, et, "UnionAll(global)", None)
-        }
+        Plan::Scan { .. } | Plan::PatchScan { .. } => (
+            Box::new(UnionAllOp::new(partitions(plan, None))),
+            "UnionAll(global)",
+        ),
         // Distinct is distributive: per-partition pre-aggregation, then a
         // global aggregation over the union of partials.
         Plan::Distinct { input, cols } => {
-            let partials: Vec<OpRef<'a>> = parts
-                .filter_map(|pid| {
-                    maybe_prune_traced(input, table, indexes, pid, pruning, trace).map(|p| {
-                        let partial: OpRef<'a> = Box::new(HashAggOp::distinct(
-                            lower_partition_obs(&p, table, indexes, pid, et),
-                            cols.clone(),
-                        ));
-                        probe(
-                            meter_wrap(partial, et, "Distinct(partial)", Some(pid)),
-                            trace,
-                            pid,
-                        )
-                    })
-                })
-                .collect();
-            let combine: OpRef<'a> = Box::new(HashAggOp::distinct(
+            let partial = |op| Box::new(HashAggOp::distinct(op, cols.clone())) as OpRef<'a>;
+            let partials = partitions(input, Some(("Distinct(partial)", &partial)));
+            let combine = HashAggOp::distinct(
                 Box::new(UnionAllOp::new(partials)),
                 (0..cols.len()).collect(),
-            ));
-            meter_wrap(combine, et, "Distinct(global)", None)
+            );
+            (Box::new(combine), "Distinct(global)")
         }
         // Sorted flows merge across partitions. An input containing a
         // Distinct is not partition-distributive under a merge (only the
         // Distinct arm's global re-aggregation dedups across partitions),
         // so it is lowered globally and sorted once.
-        Plan::Sort { input, keys } if input.contains_distinct() => {
-            let sorted: OpRef<'a> = Box::new(SortOp::new(
-                lower_global_obs(input, table, indexes, pruning, trace, et),
-                keys.clone(),
-            ));
-            meter_wrap(sorted, et, "Sort(global)", None)
-        }
+        Plan::Sort { input, keys } if input.contains_distinct() => (
+            Box::new(SortOp::new(global(input), keys.clone())),
+            "Sort(global)",
+        ),
         Plan::Sort { input, keys } => {
-            let sorted: Vec<OpRef<'a>> = parts
-                .filter_map(|pid| {
-                    maybe_prune_traced(input, table, indexes, pid, pruning, trace).map(|p| {
-                        let stream: OpRef<'a> = Box::new(SortOp::new(
-                            lower_partition_obs(&p, table, indexes, pid, et),
-                            keys.clone(),
-                        ));
-                        probe(
-                            meter_wrap(stream, et, "Sort(partition)", Some(pid)),
-                            trace,
-                            pid,
-                        )
-                    })
-                })
-                .collect();
-            let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(sorted, keys.clone()));
-            meter_wrap(combine, et, "OrderedMerge(global)", None)
+            let sort = |op| Box::new(SortOp::new(op, keys.clone())) as OpRef<'a>;
+            let sorted = partitions(input, Some(("Sort(partition)", &sort)));
+            (
+                Box::new(OrderedMergeOp::new(sorted, keys.clone())),
+                "OrderedMerge(global)",
+            )
         }
         Plan::Merge { inputs, keys } => {
             // Each surviving (partition, child) stream is sorted; one
@@ -480,160 +405,79 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
             let mut streams: Vec<OpRef<'a>> = Vec::new();
             for child in inputs {
                 if child.contains_distinct() {
-                    streams.push(lower_global_obs(child, table, indexes, pruning, trace, et));
-                    continue;
-                }
-                for pid in parts.clone() {
-                    if let Some(p) = maybe_prune_traced(child, table, indexes, pid, pruning, trace)
-                    {
-                        streams.push(probe(
-                            lower_partition_obs(&p, table, indexes, pid, et),
-                            trace,
-                            pid,
-                        ));
-                    }
+                    streams.push(global(child));
+                } else {
+                    streams.extend(partitions(child, None));
                 }
             }
-            let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(streams, keys.clone()));
-            meter_wrap(combine, et, "OrderedMerge(global)", None)
+            (
+                Box::new(OrderedMergeOp::new(streams, keys.clone())),
+                "OrderedMerge(global)",
+            )
         }
-        Plan::Union { inputs } => {
-            let combine: OpRef<'a> = Box::new(UnionAllOp::new(
-                inputs
-                    .iter()
-                    .map(|p| lower_global_obs(p, table, indexes, pruning, trace, et))
-                    .collect(),
-            ));
-            meter_wrap(combine, et, "UnionAll(global)", None)
+        Plan::Union { inputs } => (
+            Box::new(UnionAllOp::new(inputs.iter().map(global).collect())),
+            "UnionAll(global)",
+        ),
+        // Cap every partition at n below the combine (each scan stops
+        // early), keep the exact global cap on top.
+        Plan::Limit { input, n } if limit_pushes_down(input) => {
+            let cap = |op| Box::new(LimitOp::new(op, *n)) as OpRef<'a>;
+            let capped = partitions(input, Some(("Limit(partition)", &cap)));
+            let combine = LimitOp::new(Box::new(UnionAllOp::new(capped)), *n);
+            (Box::new(combine), "Limit(global)")
         }
-        Plan::Limit { input, n } => {
-            if limit_pushes_down(input) {
-                // Cap every partition at n below the combine (each scan
-                // stops early), keep the exact global cap on top.
-                let capped: Vec<OpRef<'a>> = parts
-                    .filter_map(|pid| {
-                        maybe_prune_traced(input, table, indexes, pid, pruning, trace).map(|p| {
-                            let capped: OpRef<'a> = Box::new(LimitOp::new(
-                                lower_partition_obs(&p, table, indexes, pid, et),
-                                *n,
-                            ));
-                            probe(
-                                meter_wrap(capped, et, "Limit(partition)", Some(pid)),
-                                trace,
-                                pid,
-                            )
-                        })
-                    })
-                    .collect();
-                let combine: OpRef<'a> =
-                    Box::new(LimitOp::new(Box::new(UnionAllOp::new(capped)), *n));
-                meter_wrap(combine, et, "Limit(global)", None)
-            } else {
-                let capped: OpRef<'a> = Box::new(LimitOp::new(
-                    lower_global_obs(input, table, indexes, pruning, trace, et),
-                    *n,
-                ));
-                meter_wrap(capped, et, "Limit(global)", None)
-            }
-        }
-    }
+        Plan::Limit { input, n } => (Box::new(LimitOp::new(global(input), *n)), "Limit(global)"),
+    };
+    meter_wrap(combine, opts.meter, label, None)
 }
 
-/// Lowers with the default per-partition zero-branch pruning.
-pub fn lower_global<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
+/// Lowers `input` for every partition that survives pruning, each
+/// pipeline topped by `top`'s per-partition operator (metered under its
+/// label) and wrapped in the footprint probe.
+fn per_partition<'a, I: Borrow<PatchIndex>>(
+    input: &Plan,
     table: &'a Table,
     indexes: &'a [I],
-) -> OpRef<'a> {
-    lower_global_with(plan, table, indexes, Pruning::PerPartition)
+    opts: &ExecOpts<'a>,
+    top: Option<(&str, &dyn Fn(OpRef<'a>) -> OpRef<'a>)>,
+) -> Vec<OpRef<'a>> {
+    (0..table.partition_count())
+        .filter_map(|pid| {
+            let p = prune(input, table, indexes, pid, opts)?;
+            let mut op = lower_partition(&p, table, indexes, pid, opts.meter);
+            if let Some((label, wrap)) = top {
+                op = meter_wrap(wrap(op), opts.meter, label, Some(pid));
+            }
+            Some(probe(op, opts.touch, pid))
+        })
+        .collect()
 }
 
 /// Executes a plan to completion and returns the concatenated result.
 pub fn execute<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> Batch {
-    let mut root = lower_global(plan, table, indexes);
-    collect(root.as_mut())
+    collect(lower(plan, table, indexes, &ExecOpts::default()).as_mut())
 }
 
 /// [`execute`] while recording the partition dependency footprint into
-/// `trace` (default per-partition pruning).
+/// `touch` (default per-partition pruning).
 pub fn execute_traced<I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &Table,
     indexes: &[I],
-    trace: &TouchLog,
+    touch: &TouchLog,
 ) -> Batch {
-    let mut root = lower_global_traced(plan, table, indexes, Pruning::PerPartition, Some(trace));
-    collect(root.as_mut())
-}
-
-/// [`execute_count`] while recording the partition dependency footprint
-/// into `trace` (default per-partition pruning).
-pub fn execute_count_traced<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    trace: &TouchLog,
-) -> usize {
-    let mut root = lower_global_traced(plan, table, indexes, Pruning::PerPartition, Some(trace));
-    let mut n = 0;
-    while let Some(b) = root.next() {
-        n += b.len();
-    }
-    n
-}
-
-/// [`execute_traced`] with per-operator metering into `et` — the
-/// EXPLAIN ANALYZE execution (default per-partition pruning). Results
-/// are byte-identical to [`execute`]: the meters observe batches, they
-/// never alter them.
-pub fn execute_metered<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    trace: &TouchLog,
-    et: &ExecTrace,
-) -> Batch {
-    let mut root =
-        lower_global_metered(plan, table, indexes, Pruning::PerPartition, Some(trace), et);
-    collect(root.as_mut())
-}
-
-/// [`execute_count`] under the metered (EXPLAIN ANALYZE) lowering.
-pub fn execute_count_metered<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    trace: &TouchLog,
-    et: &ExecTrace,
-) -> usize {
-    let mut root =
-        lower_global_metered(plan, table, indexes, Pruning::PerPartition, Some(trace), et);
-    let mut n = 0;
-    while let Some(b) = root.next() {
-        n += b.len();
-    }
-    n
+    let opts = ExecOpts {
+        touch: Some(touch),
+        ..ExecOpts::default()
+    };
+    collect(lower(plan, table, indexes, &opts).as_mut())
 }
 
 /// Executes a plan, returning only the row count (benchmark helper that
 /// avoids result materialization skew).
 pub fn execute_count<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> usize {
-    execute_count_with(plan, table, indexes, Pruning::PerPartition)
-}
-
-/// [`execute_count`] with an explicit pruning mode (benchmark ablation).
-pub fn execute_count_with<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    pruning: Pruning,
-) -> usize {
-    let mut root = lower_global_with(plan, table, indexes, pruning);
-    let mut n = 0;
-    while let Some(b) = root.next() {
-        n += b.len();
-    }
-    n
+    count_rows(lower(plan, table, indexes, &ExecOpts::default()).as_mut())
 }
 
 #[cfg(test)]
@@ -843,8 +687,12 @@ mod tests {
         let got = execute(&opt, &t, &indexes);
         assert_eq!(reference.column(0).as_int(), got.column(0).as_int());
         // The ablation (global-only pruning) agrees on results.
+        let global = ExecOpts {
+            pruning: Pruning::Global,
+            ..ExecOpts::default()
+        };
         assert_eq!(
-            execute_count_with(&opt, &t, &indexes, Pruning::Global),
+            count_rows(lower(&opt, &t, &indexes, &global).as_mut()),
             reference.len()
         );
     }
@@ -1089,8 +937,12 @@ mod tests {
                 "{plan}"
             );
             let ctrace = TouchLog::new(t.partition_count());
+            let opts = ExecOpts {
+                touch: Some(&ctrace),
+                ..ExecOpts::default()
+            };
             assert_eq!(
-                execute_count_traced(&opt, &t, &idx, &ctrace),
+                count_rows(lower(&opt, &t, &idx, &opts).as_mut()),
                 plain.len(),
                 "{plan}"
             );
