@@ -469,7 +469,6 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
         put_u32(&mut b, idx.column() as u32);
         put_str(&mut b, &format!("{:?}", idx.constraint()));
         put_str(&mut b, &format!("{:?}", idx.design()));
-        b.push(idx.global_unique() as u8);
         let stats = idx.maintenance_stats();
         put_u64(&mut b, stats.collision_rounds);
         put_u64(&mut b, stats.build_invocations);
