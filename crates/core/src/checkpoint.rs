@@ -29,13 +29,12 @@ use crate::maintenance::MaintenanceStats;
 use crate::store::PatchStore;
 
 const MAGIC: &[u8; 4] = b"PIDX";
-/// The only version read or written. After the design word comes a word
-/// that is always 1: it once flagged whether the patch sets were
-/// globally deduplicated, and a 0 marks a NUC index re-saved from a
-/// partition-local discovery, which is rejected at load. The payload
-/// carries the maintenance/drift/feedback counters, so a recovered index
-/// resumes advisor monitoring where it left off, and ends in a CRC-32
-/// trailer, so torn or bit-flipped files are rejected instead of parsed.
+/// The only version read or written. The word after the design word
+/// must be 1; a 0 marks a NUC index saved from a partition-local
+/// discovery, which is rejected at load. The payload carries the
+/// maintenance/drift/feedback counters, so a recovered index resumes
+/// advisor monitoring where it left off, and ends in a CRC-32 trailer,
+/// so torn or bit-flipped files are rejected instead of parsed.
 const VERSION: u32 = 5;
 
 fn put_u32(b: &mut Vec<u8>, v: u32) {
@@ -231,8 +230,8 @@ impl PatchIndex {
             Design::Bitmap
         };
         if read_u32(&mut r)? != 1 {
-            // A NUC re-saved from a partition-local discovery: kept values
-            // may repeat across partitions, so the distinct rewrite's
+            // A NUC saved from a partition-local discovery: kept values may
+            // repeat across partitions, so the distinct rewrite's
             // un-deduplicated union could not be served soundly.
             return Err(bad_data(
                 "checkpoint of a partition-local NUC index (recreate the index)",

@@ -1,20 +1,19 @@
 //! The query facade: one pipeline from a logical plan to its answer.
 //!
 //! Every [`QueryEngine`] entry point — `query`, `query_count` and
-//! `query_traced`, on every table view — is a call to the private
-//! `run`, which
+//! `query_traced`, on every table view — calls the private `run`, which
 //!
 //! 1. plans against the view's [`IndexCatalog`] with zero-branch pruning,
 //!    under the view's planning policy (below),
-//! 2. records the query's advisable shapes into the workload evidence,
-//! 3. probes the view's [`ResultCache`], if it has one, under the chosen
+//! 2. records the query's advisable shapes as workload evidence,
+//! 3. probes the result cache, if the view has one, under the chosen
 //!    plan's canonical fingerprint plus the [`QueryMode`] byte,
-//! 4. on a miss, records the estimated-savings feedback, lowers and
-//!    executes — with the partition footprint when the result will be
-//!    cached or traced, with per-operator meters when traced — records
-//!    the measured timing and fills the cache,
-//! 5. counts the query in the view's metrics registry and, when traced,
-//!    assembles the EXPLAIN ANALYZE [`QueryTrace`].
+//! 4. on a miss, records the estimated-savings feedback, executes —
+//!    recording the partition footprint when the result will be cached
+//!    or traced, metering each operator when traced — records the
+//!    measured timing and fills the cache,
+//! 5. counts the query in the metrics registry, if the view has one,
+//!    and when traced assembles the EXPLAIN ANALYZE [`QueryTrace`].
 //!
 //! Only two things differ between the views, and a small private trait
 //! with two impls carries them:
@@ -34,10 +33,9 @@
 //!   [`WorkloadEvent`]s to its [`patchindex::WorkloadSink`] for the
 //!   writer to absorb.
 //!
-//! The trait also supplies what only a snapshot carries: the result
-//! cache (with its epoch and catalog) and the metrics registry. The owner
-//! never uses a cache, and a snapshot never flushes. A
-//! [`ConcurrentTable`] queries a fresh snapshot per call.
+//! Only a snapshot carries a [`patchindex::ResultCache`] and a metrics
+//! registry, so the owner never uses a cache, and a snapshot never
+//! flushes. A [`ConcurrentTable`] queries a fresh snapshot per call.
 //!
 //! Feedback and timing are recorded only for plans that executed and
 //! bind at least one index: a cache hit executed nothing, and its ~0µs
@@ -49,12 +47,12 @@ use std::time::Instant;
 
 use patchindex::snapshot::WorkloadEvent;
 use patchindex::{
-    CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexedTable, PatchIndex,
-    QueryShape, ResultCache, SortDir, TableSnapshot, TableWriter,
+    CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexStats, IndexedTable,
+    PatchIndex, QueryShape, SortDir, TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::{collect, count_rows, Batch};
-use pi_obs::{CacheOutcome, MetricsRegistry, PlannerTrace, QueryTrace};
+use pi_obs::{CacheOutcome, PlannerTrace, QueryTrace};
 use pi_storage::Table;
 
 use crate::cost::estimate;
@@ -86,7 +84,7 @@ fn bound_slots(plan: &Plan) -> Vec<usize> {
 
 /// Whether the catalog entry is a NUC index with staged deferred
 /// maintenance — its disjointness invariant is suspended.
-fn pending_nuc(e: &patchindex::IndexStats) -> bool {
+fn pending_nuc(e: &IndexStats) -> bool {
     e.pending && e.constraint == Constraint::NearlyUnique
 }
 
@@ -208,20 +206,8 @@ enum Evidence {
     Timing(usize, f64, f64),
 }
 
-/// A view's result cache, with what a probe or an insert needs beside it.
-struct CacheAccess<'a> {
-    cache: &'a ResultCache,
-    token: u64,
-    epoch: u64,
-    /// The catalog fingerprints are taken against.
-    catalog: &'a IndexCatalog,
-}
-
 /// What differs between the owner and a snapshot; see the module docs.
 trait View {
-    /// Whether traces report a cache outcome. A snapshot always does
-    /// (`Uncached` without a cache); the owner has no cache concept.
-    const REPORTS_CACHE: bool;
     fn table(&self) -> &Table;
     fn indexes(&self) -> &[Arc<PatchIndex>];
     /// The planning policy: chooses the plan to execute, leaving the
@@ -233,13 +219,12 @@ trait View {
     fn costs(&mut self, plan: &Plan, chosen: &Plan) -> (f64, f64);
     /// The evidence sink.
     fn record(&mut self, evidence: Evidence);
-    fn cache(&self) -> Option<CacheAccess<'_>>;
-    fn registry(&self) -> Option<&MetricsRegistry>;
+    /// The view as a snapshot, which alone may carry a result cache and a
+    /// metrics registry; `None` for the owner.
+    fn snapshot(&self) -> Option<&TableSnapshot>;
 }
 
 impl View for IndexedTable {
-    const REPORTS_CACHE: bool = false;
-
     fn table(&self) -> &Table {
         IndexedTable::table(self)
     }
@@ -291,18 +276,12 @@ impl View for IndexedTable {
         }
     }
 
-    fn cache(&self) -> Option<CacheAccess<'_>> {
-        None
-    }
-
-    fn registry(&self) -> Option<&MetricsRegistry> {
+    fn snapshot(&self) -> Option<&TableSnapshot> {
         None
     }
 }
 
 impl View for TableSnapshot {
-    const REPORTS_CACHE: bool = true;
-
     fn table(&self) -> &Table {
         TableSnapshot::table(self)
     }
@@ -320,15 +299,13 @@ impl View for TableSnapshot {
             // surviving bindings still address the live index array)
             // keeps every other rewrite. The writer's next flushed
             // publish restores the NUC rewrite for subsequent snapshots.
-            let (pending, kept) = cat.indexes.iter().cloned().partition(pending_nuc);
+            let (pending, kept): (Vec<IndexStats>, _) =
+                cat.indexes.iter().cloned().partition(pending_nuc);
             let masked_cat = IndexCatalog {
                 part_rows: cat.part_rows.clone(),
                 indexes: kept,
             };
-            *masked = pending
-                .iter()
-                .map(|e: &patchindex::IndexStats| e.slot)
-                .collect();
+            *masked = pending.iter().map(|e| e.slot).collect();
             *stats = OptimizeStats::default();
             chosen = optimize_with_stats(plan.clone(), &masked_cat, true, stats);
         }
@@ -374,17 +351,8 @@ impl View for TableSnapshot {
         self.sink().record(event);
     }
 
-    fn cache(&self) -> Option<CacheAccess<'_>> {
-        self.result_cache().map(|(cache, token)| CacheAccess {
-            cache,
-            token,
-            epoch: self.epoch(),
-            catalog: self.catalog(),
-        })
-    }
-
-    fn registry(&self) -> Option<&MetricsRegistry> {
-        self.metrics().map(|reg| &**reg)
+    fn snapshot(&self) -> Option<&TableSnapshot> {
+        Some(self)
     }
 }
 
@@ -393,15 +361,15 @@ impl View for TableSnapshot {
 /// identity of these Arcs is exactly "this cached result is still valid"
 /// — copy-on-write publishes replace the Arc of everything they touch and
 /// nothing else.
-fn footprint(view: &impl View, chosen: &Plan, touch: &TouchLog) -> Footprint {
+fn footprint(snap: &TableSnapshot, chosen: &Plan, touch: &TouchLog) -> Footprint {
     let parts = touch
         .footprint()
         .into_iter()
-        .map(|pid| (pid, Arc::clone(&view.table().partitions()[pid])))
+        .map(|pid| (pid, Arc::clone(&snap.table().partitions()[pid])))
         .collect();
     let indexes = bound_slots(chosen)
         .into_iter()
-        .map(|slot| (slot, Arc::clone(&view.indexes()[slot])))
+        .map(|slot| (slot, Arc::clone(&snap.indexes()[slot])))
         .collect();
     Footprint::new(parts, indexes)
 }
@@ -409,8 +377,8 @@ fn footprint(view: &impl View, chosen: &Plan, touch: &TouchLog) -> Footprint {
 /// The one query pipeline; see the module docs for its steps. Returns
 /// the answer — rows or a count, as `mode` asks — and, when `traced`,
 /// its EXPLAIN ANALYZE trace.
-fn run<V: View>(
-    view: &mut V,
+fn run(
+    view: &mut impl View,
     plan: &Plan,
     mode: QueryMode,
     traced: bool,
@@ -431,15 +399,15 @@ fn run<V: View>(
     // on every probe — not just the hash — so a hit is the exact answer.
     let mut key = None;
     let mut hit = None;
-    if let Some(c) = view.cache() {
-        let canon: Arc<[u8]> = canonical_bytes(&chosen, c.catalog, mode).into();
+    let snap = view.snapshot();
+    if let Some((snap, (cache, token))) = snap.zip(snap.and_then(TableSnapshot::result_cache)) {
+        let canon: Arc<[u8]> = canonical_bytes(&chosen, snap.catalog(), mode).into();
         let hash = fingerprint_hash(&canon);
-        let (table, indexes) = (view.table(), view.indexes());
+        let (epoch, table, indexes) = (snap.epoch(), snap.table(), snap.indexes());
         // The mode byte is part of the compared canonical form, so a hit
         // always has the asked-for kind; the filter is belt-and-braces.
-        hit = c
-            .cache
-            .lookup(c.token, hash, &canon, c.epoch, table, indexes)
+        hit = cache
+            .lookup(token, hash, &canon, epoch, table, indexes)
             .filter(|v| {
                 matches!(
                     (v, mode),
@@ -489,17 +457,17 @@ fn run<V: View>(
                     view.record(Evidence::Timing(slot, micros, cost / share));
                 }
             }
-            if let (Some(c), Some((hash, canon)), Some(touch)) = (view.cache(), key, &touch) {
-                let footprint = footprint(view, &chosen, touch);
-                c.cache
-                    .insert(c.token, hash, canon, c.epoch, value.clone(), footprint);
+            if let (Some(snap), Some((hash, canon)), Some(touch)) = (view.snapshot(), key, &touch) {
+                let (cache, token) = snap.result_cache().expect("a keyed query has a cache");
+                let footprint = footprint(snap, &chosen, touch);
+                cache.insert(token, hash, canon, snap.epoch(), value.clone(), footprint);
             }
             value
         }
     };
 
     let total_nanos = start.elapsed().as_nanos() as u64;
-    if let Some(reg) = view.registry() {
+    if let Some(reg) = view.snapshot().and_then(TableSnapshot::metrics) {
         reg.counter("engine.queries").inc();
         reg.histogram("engine.query_nanos").record(total_nanos);
     }
@@ -525,7 +493,7 @@ fn run<V: View>(
             partitions_total: parts,
             partitions_visited: visited,
             partitions_pruned: pruned,
-            cache: V::REPORTS_CACHE.then_some(outcome),
+            cache: view.snapshot().map(|_| outcome),
             operators: meter.map_or_else(Vec::new, |m| m.operators()),
             rows_out: match &value {
                 CachedValue::Rows(b) => b.len() as u64,
@@ -579,7 +547,7 @@ impl QueryEngine for IndexedTable {
 /// Concurrent readers: all methods are internally `&self` (the `&mut`
 /// receiver is the trait's shape, not a mutation) — clone the snapshot
 /// per thread and query away; maintenance never blocks these. When the
-/// table was built with a [`ResultCache`], the executing entry points
+/// table was built with a [`patchindex::ResultCache`], the executing entry points
 /// consult it first.
 impl QueryEngine for TableSnapshot {
     fn plan_query(&mut self, plan: &Plan) -> Plan {
@@ -647,8 +615,9 @@ impl QueryEngine for TableWriter {
 mod tests {
     use super::*;
     use crate::{execute, execute_count, NO_INDEXES};
-    use patchindex::{Design, MaintenanceMode, MaintenancePolicy, SortDir};
+    use patchindex::{Design, MaintenanceMode, MaintenancePolicy, ResultCache};
     use pi_exec::ops::sort::SortOrder;
+    use pi_obs::MetricsRegistry;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 
     fn fresh(parts: usize) -> IndexedTable {
@@ -792,7 +761,6 @@ mod tests {
         it.query_count(&distinct);
         it.query_count(&sort);
         // Query log: shapes per table column.
-        use patchindex::{QueryShape, SortDir};
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 2);
         assert_eq!(it.query_log().count(1, QueryShape::Sort(SortDir::Asc)), 1);
         // Feedback: the NUC index was bound by both distinct queries with
@@ -809,7 +777,6 @@ mod tests {
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         // Inspecting the plan records nothing...
         it.plan_query(&distinct);
-        use patchindex::QueryShape;
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 0);
         assert_eq!(it.index(slot).query_feedback().times_bound, 0);
         // ...running it records exactly once.
@@ -876,28 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_queries_match_owner_results() {
-        use patchindex::ConcurrentTable;
-        let mut it = fresh(4);
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        it.insert(&[vec![Value::Int(777), Value::Int(0)]]); // dup + stray
-        let (handle, _writer) = ConcurrentTable::new(it);
-        let mut snap = handle.snapshot();
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        let dref = execute_count(&distinct, snap.table(), NO_INDEXES);
-        assert_eq!(snap.query_count(&distinct), dref);
-        // The snapshot path binds indexes exactly like the owner path.
-        assert!(snap.plan_query(&distinct).to_string().contains("slot=0"));
-        let sorted = snap.query(&sort);
-        let sref = execute(&sort, snap.table(), NO_INDEXES);
-        assert_eq!(sorted.column(0).as_int(), sref.column(0).as_int());
-    }
-
-    #[test]
     fn pending_nuc_snapshot_falls_back_to_the_reference_plan() {
-        use patchindex::ConcurrentTable;
         let it = fresh(2).with_policy(deferred());
         let (handle, mut writer) = ConcurrentTable::new(it);
         let slot = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
@@ -932,7 +878,6 @@ mod tests {
 
     #[test]
     fn pending_nuc_mask_keeps_the_unrelated_nsc_rewrite() {
-        use patchindex::ConcurrentTable;
         let it = fresh(2).with_policy(deferred());
         let (handle, mut writer) = ConcurrentTable::new(it);
         let nuc = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
@@ -970,7 +915,6 @@ mod tests {
 
     #[test]
     fn pending_nsc_snapshot_keeps_its_rewrite() {
-        use patchindex::ConcurrentTable;
         let it = fresh(2).with_policy(deferred());
         let (handle, mut writer) = ConcurrentTable::new(it);
         let slot = writer.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
@@ -988,7 +932,6 @@ mod tests {
 
     #[test]
     fn snapshot_workload_evidence_reaches_the_writer() {
-        use patchindex::ConcurrentTable;
         let mut it = fresh(2);
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
@@ -1186,7 +1129,6 @@ mod tests {
 
     #[test]
     fn traced_snapshot_reports_masked_pending_nuc_slots() {
-        use patchindex::ConcurrentTable;
         let it = fresh(2).with_policy(deferred());
         let (handle, mut writer) = ConcurrentTable::new(it);
         let slot = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
@@ -1205,8 +1147,6 @@ mod tests {
 
     #[test]
     fn snapshot_queries_feed_the_metrics_registry() {
-        use patchindex::ConcurrentTable;
-        use pi_obs::MetricsRegistry;
         let mut it = fresh(2);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let reg = Arc::new(MetricsRegistry::new());
@@ -1273,30 +1213,39 @@ mod tests {
         out
     }
 
+    /// A NUC and an NSC index on column 1. With `dup`, a row under that
+    /// maintenance policy duplicates a value out of order: patched
+    /// eagerly, or — deferred — staged, suspending the NUC disjointness
+    /// invariant, so the owner must flush and a snapshot must mask.
+    fn fixture(dup: Option<MaintenancePolicy>) -> IndexedTable {
+        let mut it = fresh(4);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        if let Some(policy) = dup {
+            it.set_policy(policy);
+            it.insert(&[vec![Value::Int(999), Value::Int(0)]]);
+        }
+        it
+    }
+
     /// Runs every plan twice (the second run of a cached view is a hit)
     /// through `query` — or `query_traced` when `traced` — and once
     /// through `query_count`, checking each answer against the
     /// index-free reference. Returns the evidence the view left behind.
-    fn drive(view: Kind, pending: bool, traced: bool, plans: &[(Plan, bool)]) -> Vec<String> {
-        let mut it = fresh(4);
-        if pending {
-            it.set_policy(deferred());
-        }
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        if pending {
-            // A staged duplicate: the NUC disjointness invariant is
-            // suspended, so the owner must flush and a snapshot must mask.
-            it.insert(&[vec![Value::Int(999), Value::Int(0)]]);
-            assert!(it.index(0).has_pending());
-        }
+    fn drive(
+        view: Kind,
+        dup: Option<MaintenancePolicy>,
+        traced: bool,
+        plans: &[(Plan, bool)],
+    ) -> Vec<String> {
+        let mut it = fixture(dup);
         let references: Vec<Batch> = plans
             .iter()
             .map(|(p, _)| execute(p, it.table(), NO_INDEXES))
             .collect();
         let exercise = |q: &mut dyn QueryEngine| {
             for ((plan, ordered), reference) in plans.iter().zip(&references) {
-                let ctx = format!("{view:?} pending={pending} traced={traced} {plan}");
+                let ctx = format!("{view:?} {dup:?} traced={traced} {plan}");
                 for _ in 0..2 {
                     let got = if traced {
                         q.query_traced(plan).0
@@ -1338,8 +1287,11 @@ mod tests {
         }
     }
 
+    /// Every view answers like the index-free reference on a clean, a
+    /// patched and a pending-NUC table, and `query_traced` leaves the same
+    /// workload evidence as `query`.
     #[test]
-    fn every_view_answers_exactly_and_traced_records_like_untraced() {
+    fn snapshot_queries_match_owner_results() {
         let plans = [
             (Plan::scan(vec![1]).distinct(vec![0]), false),
             (Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]), true),
@@ -1353,20 +1305,23 @@ mod tests {
             Kind::Handle,
             Kind::Writer,
         ] {
-            for pending in [false, true] {
-                let untraced = drive(view, pending, false, &plans);
-                let traced = drive(view, pending, true, &plans);
-                assert_eq!(traced, untraced, "{view:?} pending={pending}");
+            for dup in [None, Some(MaintenancePolicy::default()), Some(deferred())] {
+                let untraced = drive(view, dup, false, &plans);
+                let traced = drive(view, dup, true, &plans);
+                assert_eq!(traced, untraced, "{view:?} {dup:?}");
                 // Every view binds the NSC index for the sort, so the
                 // evidence is never trivially empty.
                 assert_ne!(untraced[2], "bound 0 measured 0 saved 0 executed 0");
             }
         }
+        // The snapshot path binds indexes exactly like the owner path.
+        let (handle, _writer) = ConcurrentTable::new(fixture(Some(MaintenancePolicy::default())));
+        let chosen = handle.snapshot().plan_query(&plans[0].0);
+        assert!(chosen.to_string().contains("slot=0"), "{chosen}");
     }
 
     #[test]
     fn writer_facade_queries_staged_state() {
-        use patchindex::ConcurrentTable;
         let mut it = fresh(2);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
