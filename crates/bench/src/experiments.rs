@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use patchindex::{stats, Constraint, Design, PatchIndex, SortDir};
+use patchindex::{stats, Constraint, Design, PatchIndex, SortDir, Statement};
 use pi_baselines::{DistinctView, JoinIndex, SortKeyTable};
 use pi_bitmap::{BulkDeleteMode, PlainBitmap, ShardedBitmap};
 use pi_datagen::publicbi::{self, ColumnKind};
@@ -1753,7 +1753,9 @@ pub fn concurrency() -> String {
                 // epoch carries it.
                 let (pid, rids, values, recompute) = storm_batch(steps, &mut rng);
                 if recompute {
-                    writer.recompute_index(0);
+                    writer
+                        .apply(&Statement::Recompute { slot: 0 })
+                        .expect("recompute");
                 }
                 writer.modify(pid, &rids, 1, &values);
                 steps += 1;
@@ -1884,14 +1886,27 @@ pub fn durability() -> String {
 
     // Advisor evidence crosses a publish, then an unpublished tail is
     // left dangling so recovery has something to discard.
-    dw.record_query_feedback(0, 7.5).expect("feedback");
-    dw.record_query_timing(0, 3.0, 20.0).expect("timing");
+    dw.apply(&Statement::Feedback {
+        slot: 0,
+        est_cost_saved: 7.5,
+    })
+    .expect("feedback");
+    dw.apply(&Statement::Timing {
+        slot: 0,
+        actual_micros: 3.0,
+        est_cost: 20.0,
+    })
+    .expect("timing");
     dw.publish().expect("publish");
     let published_image = state_image(dw.staging());
     let published_epoch = dw.epoch();
     dw.modify(1, &[0, 1], 1, &[Value::Int(-1), Value::Int(-2)])
         .expect("tail modify");
-    dw.record_query_feedback(0, 99.0).expect("tail feedback");
+    dw.apply(&Statement::Feedback {
+        slot: 0,
+        est_cost_saved: 99.0,
+    })
+    .expect("tail feedback");
     let wal_bytes = dw.stats().wal_bytes;
     drop(dw);
     fs.crash(0xD0_0B1E);

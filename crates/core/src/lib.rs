@@ -66,6 +66,7 @@ pub mod routing;
 pub mod sampling;
 pub mod scan;
 pub mod snapshot;
+mod statement;
 pub mod stats;
 mod store;
 
@@ -78,4 +79,5 @@ pub use maintenance::{drp_ranges, MaintenanceStats, ProbeStrategy};
 pub use snapshot::{
     ConcurrentTable, PublishPolicy, TableSnapshot, TableWriter, WorkloadEvent, WorkloadSink,
 };
+pub use statement::{Statement, StatementError};
 pub use store::PatchStore;

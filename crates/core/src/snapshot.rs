@@ -65,6 +65,7 @@ use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design};
 use crate::index::PatchIndex;
 use crate::indexed::{IndexedTable, MaintenancePolicy, QueryShape};
+use crate::statement::{Statement, StatementError};
 
 /// Distinguishes tables sharing one [`ResultCache`] — and, because it is
 /// globally unique, guarantees a fresh `ConcurrentTable` can never hit
@@ -493,6 +494,28 @@ impl TableWriter {
         self.note_statement();
     }
 
+    /// Validates `stmt` against the staging table and applies it — the
+    /// write entry point the server's shard writers, `DurableWriter` and
+    /// WAL replay share. A statement that fails validation changes
+    /// nothing. Row statements count toward statement pacing, `Flush`
+    /// honours [`PublishPolicy::after_flush`] and `Publish` publishes a
+    /// flushed epoch.
+    pub fn apply(&mut self, stmt: &Statement) -> Result<(), StatementError> {
+        stmt.validate(&self.staging)?;
+        match stmt {
+            Statement::Flush => self.flush_maintenance(),
+            Statement::Publish => {
+                self.publish_flushed();
+            }
+            Statement::Insert(_) | Statement::Modify { .. } | Statement::Delete { .. } => {
+                stmt.apply(&mut self.staging);
+                self.note_statement();
+            }
+            _ => stmt.apply(&mut self.staging),
+        }
+        Ok(())
+    }
+
     /// Statement-pacing hook shared by the update entry points.
     fn note_statement(&mut self) {
         self.statements_since_publish += 1;
@@ -508,12 +531,6 @@ impl TableWriter {
         self.publish_policy = policy;
     }
 
-    /// Builder form of [`TableWriter::set_publish_policy`].
-    pub fn with_publish_policy(mut self, policy: PublishPolicy) -> Self {
-        self.publish_policy = policy;
-        self
-    }
-
     /// The active publish pacing.
     pub fn publish_policy(&self) -> PublishPolicy {
         self.publish_policy
@@ -523,18 +540,6 @@ impl TableWriter {
     /// path) and returns its slot.
     pub fn add_index(&mut self, col: usize, constraint: Constraint, design: Design) -> usize {
         self.staging.add_index(col, constraint, design)
-    }
-
-    /// Drops the index in `slot`; snapshots published earlier keep
-    /// serving it until they are dropped.
-    pub fn drop_index(&mut self, slot: usize) -> Arc<PatchIndex> {
-        self.staging.drop_index(slot)
-    }
-
-    /// Recomputes the index in `slot` — the background "recompute storm"
-    /// case: readers keep querying the published epoch while this runs.
-    pub fn recompute_index(&mut self, slot: usize) {
-        self.staging.recompute_index(slot)
     }
 
     /// Runs all deferred maintenance staged on the writer, publishing
@@ -579,44 +584,55 @@ impl TableWriter {
     }
 
     /// Drains reader-reported workload evidence into the staging table's
-    /// query log and per-index feedback. Events naming a `(column,
-    /// constraint)` without a live index (dropped since) are discarded.
+    /// query log and per-index feedback.
     pub fn absorb_feedback(&mut self) {
-        let events = self.sink.drain();
-        if events.is_empty() {
-            return;
+        for stmt in self.drain_feedback() {
+            stmt.apply(&mut self.staging);
         }
+    }
+
+    /// Drains reader-reported workload evidence. Query-shape events go
+    /// straight into the staging query log (advisory state, never
+    /// logged); feedback and timing events come back as
+    /// [`Statement::Feedback`] / [`Statement::Timing`] against the slot
+    /// now holding their `(column, constraint)` — events naming an index
+    /// dropped since are discarded.
+    pub fn drain_feedback(&mut self) -> Vec<Statement> {
         let slot_of = |staging: &IndexedTable, column: usize, constraint: Constraint| {
             staging
                 .indexes()
                 .iter()
                 .position(|idx| idx.column() == column && idx.constraint() == constraint)
         };
-        for event in events {
+        let mut out = Vec::new();
+        for event in self.sink.drain() {
             match event {
                 WorkloadEvent::Query { col, shape } => self.staging.record_query(col, shape),
                 WorkloadEvent::Feedback {
                     column,
                     constraint,
                     est_cost_saved,
-                } => {
-                    if let Some(slot) = slot_of(&self.staging, column, constraint) {
-                        self.staging.record_query_feedback(slot, est_cost_saved);
+                } => out.extend(slot_of(&self.staging, column, constraint).map(|slot| {
+                    Statement::Feedback {
+                        slot,
+                        est_cost_saved,
                     }
-                }
+                })),
                 WorkloadEvent::Timing {
                     column,
                     constraint,
                     actual_micros,
                     est_cost,
-                } => {
-                    if let Some(slot) = slot_of(&self.staging, column, constraint) {
-                        self.staging
-                            .record_query_timing(slot, actual_micros, est_cost);
+                } => out.extend(slot_of(&self.staging, column, constraint).map(|slot| {
+                    Statement::Timing {
+                        slot,
+                        actual_micros,
+                        est_cost,
                     }
-                }
+                })),
             }
         }
+        out
     }
 
     /// Publishes the staging state as a new snapshot: absorbs reader
@@ -803,9 +819,11 @@ mod tests {
         let (handle, mut writer) = ConcurrentTable::new(it);
         let old = handle.snapshot();
         writer.insert(&[row(100, 5)]); // out of order -> patch on flush/eager
-        writer.recompute_index(0);
-        writer.drop_index(0);
-        writer.publish();
+        writer.apply(&Statement::Recompute { slot: 0 }).unwrap();
+        writer.apply(&Statement::DropIndex { slot: 0 }).unwrap();
+        // No index left in slot 0: refused, nothing changes.
+        assert!(writer.apply(&Statement::DropIndex { slot: 0 }).is_err());
+        writer.apply(&Statement::Publish).unwrap();
         // The dropped index version lives on inside the old snapshot.
         assert_eq!(old.indexes().len(), 1);
         old.check_consistency();
@@ -1176,7 +1194,7 @@ mod tests {
             for i in 0..50 {
                 writer.insert(&[row(1000 + i, 2000 + i)]);
                 if i % 7 == 0 {
-                    writer.recompute_index(0);
+                    writer.apply(&Statement::Recompute { slot: 0 }).unwrap();
                 }
                 writer.publish();
             }

@@ -24,7 +24,7 @@ use patchindex::IndexedTable;
 
 use crate::wal::{read_f64, read_u32, read_u64, read_u8};
 
-fn bad(msg: &str) -> io::Error {
+pub(crate) fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 

@@ -5,11 +5,14 @@
 //! [`patchindex::ConcurrentTable`] with a durability protocol built from
 //! three pieces:
 //!
-//! * **Statement WAL** ([`wal`]) — every update statement (insert /
-//!   modify / delete / index DDL / recompute / flush / publish / advisor
-//!   feedback) is appended to an append-only, CRC-framed log *before* it
-//!   is applied (log-then-apply). The [`SyncPolicy`] decides when appends
-//!   are forced to stable storage.
+//! * **Statement WAL** ([`wal`]) — every [`Statement`] (insert / modify
+//!   / delete / index DDL / recompute / flush / publish / advisor
+//!   feedback) is validated against the staging table, appended to an
+//!   append-only, CRC-framed log, and only then applied (validate → log →
+//!   apply). A statement that fails validation is refused with
+//!   [`io::ErrorKind::InvalidInput`] and never reaches the log, so every
+//!   logged record replays. The [`SyncPolicy`] decides when appends are
+//!   forced to stable storage.
 //! * **Epoch-incremental checkpoints** — at publish time (every
 //!   [`DurableOptions::checkpoint_every`] publishes) the writer persists
 //!   only the partitions and index versions whose `Arc` pointer changed
@@ -21,7 +24,10 @@
 //!   restore the newest complete checkpoint, replay the WAL tail past
 //!   the high-water mark up to the **last complete publish record**, and
 //!   resume. Statements after the last durable publish are discarded:
-//!   recovery always lands exactly on a published epoch boundary.
+//!   recovery always lands exactly on a published epoch boundary. Replay
+//!   re-validates every record; one that does not apply (a log written
+//!   before validation existed) fails recovery with
+//!   [`io::ErrorKind::InvalidData`] instead of panicking.
 //!
 //! Replay is deterministic given the same [`MaintenancePolicy`]: the
 //! statement counter, round-robin routing cursor and advisor counters
@@ -45,21 +51,21 @@ use pi_storage::dfs::{write_atomic, DurableFs};
 use pi_storage::{ColumnData, Partition, RowAddr, Table, Value};
 
 use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, TableWriter,
-    WorkloadEvent,
+    ConcurrentTable, IndexedTable, MaintenancePolicy, PatchIndex, Statement, TableWriter,
 };
 
 pub mod wal;
 
 mod codec;
 
+use codec::bad;
 pub use codec::state_image;
-pub use wal::{Record, SyncPolicy};
+pub use wal::SyncPolicy;
 
 const MANIFEST_NAME: &str = "MANIFEST";
 
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+fn invalid_input(e: patchindex::StatementError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, e)
 }
 
 /// Tuning knobs for a [`DurableWriter`].
@@ -178,54 +184,15 @@ struct CkptState {
     manifest: codec::Manifest,
 }
 
-/// Applies one WAL record to an indexed table — the replay semantics of
-/// every statement [`DurableWriter`] logs. A [`Record::Publish`] flushes
-/// pending maintenance (the writer only publishes flushed epochs);
-/// epoch bookkeeping is the caller's.
-pub fn apply_record(it: &mut IndexedTable, record: &Record) {
-    match record {
-        Record::Insert(rows) => {
-            it.insert(rows);
-        }
-        Record::Modify {
-            pid,
-            rids,
-            col,
-            values,
-        } => it.modify(*pid, rids, *col, values),
-        Record::Delete { pid, rids } => it.delete(*pid, rids),
-        Record::AddIndex {
-            col,
-            constraint,
-            design,
-        } => {
-            it.add_index(*col, *constraint, *design);
-        }
-        Record::DropIndex { slot } => {
-            it.drop_index(*slot);
-        }
-        Record::Recompute { slot } => it.recompute_index(*slot),
-        Record::Flush => it.flush_maintenance(),
-        Record::Publish => it.flush_maintenance(),
-        Record::Feedback {
-            slot,
-            est_cost_saved,
-        } => it.record_query_feedback(*slot, *est_cost_saved),
-        Record::Timing {
-            slot,
-            actual_micros,
-            est_cost,
-        } => it.record_query_timing(*slot, *actual_micros, *est_cost),
-    }
-}
-
 /// The crash-safe single-writer: wraps a [`TableWriter`] so that every
 /// statement is WAL-logged before it is applied and every published
 /// epoch can be checkpointed incrementally.
 ///
 /// Statement methods return [`io::Result`]: an `Err` means the statement
 /// was **not** logged and **not** applied — the caller may retry or give
-/// up, the table state is unchanged either way.
+/// up, the table state is unchanged either way. A statement that does not
+/// validate against the staging table fails with
+/// [`io::ErrorKind::InvalidInput`].
 pub struct DurableWriter {
     fs: Arc<dyn DurableFs>,
     dir: PathBuf,
@@ -308,7 +275,7 @@ impl DurableWriter {
         let meta = codec::decode_meta(&fs.read(&dir.join(&manifest.meta_file))?)?;
         let dicts = codec::decode_dicts(&fs.read(&dir.join(&manifest.dict_file))?)?;
         if meta.fields.len() != dicts.len() {
-            return Err(bad("manifest: dict file does not match schema".into()));
+            return Err(bad("manifest: dict file does not match schema"));
         }
 
         let mut part_cols: Vec<Option<Vec<ColumnData>>> = Vec::new();
@@ -317,7 +284,7 @@ impl DurableWriter {
         for file in &manifest.part_files {
             let (pid, cols) = codec::decode_partition(&fs.read(&dir.join(file))?, &dicts)?;
             if pid >= part_cols.len() || part_cols[pid].is_some() {
-                return Err(bad(format!("manifest: bad partition id {pid} in {file}")));
+                return Err(bad(&format!("manifest: bad partition id {pid} in {file}")));
             }
             part_cols[pid] = Some(cols);
             part_names[pid] = file.clone();
@@ -325,7 +292,7 @@ impl DurableWriter {
         let partition_columns: Vec<Vec<ColumnData>> = part_cols
             .into_iter()
             .enumerate()
-            .map(|(pid, c)| c.ok_or_else(|| bad(format!("manifest: missing partition {pid}"))))
+            .map(|(pid, c)| c.ok_or_else(|| bad(&format!("manifest: missing partition {pid}"))))
             .collect::<io::Result<_>>()?;
         let table = Table::restore(
             meta.name.clone(),
@@ -371,21 +338,23 @@ impl DurableWriter {
 
         // Replay the WAL tail, stopping at the last complete publish:
         // statements past it were never part of a durable epoch.
-        let tail: Vec<(u64, Record)> = wal::read_log(fs.as_ref(), &dir)?
+        let tail: Vec<(u64, Statement)> = wal::read_log(fs.as_ref(), &dir)?
             .into_iter()
             .filter(|(seq, _)| *seq > manifest.hwm)
             .collect();
         let max_seq = tail.iter().map(|(s, _)| *s).max().unwrap_or(manifest.hwm);
         let apply_upto = tail
             .iter()
-            .rposition(|(_, r)| matches!(r, Record::Publish))
+            .rposition(|(_, r)| matches!(r, Statement::Publish))
             .map_or(0, |i| i + 1);
         let mut publishes = 0u64;
-        for (_, record) in &tail[..apply_upto] {
-            if matches!(record, Record::Publish) {
+        for (seq, stmt) in &tail[..apply_upto] {
+            stmt.validate(&it)
+                .map_err(|e| bad(&format!("WAL record {seq} does not replay: {e}")))?;
+            if matches!(stmt, Statement::Publish) {
                 publishes += 1;
             }
-            apply_record(&mut it, record);
+            stmt.apply(&mut it);
         }
         let report = RecoveryReport {
             checkpoint_epoch: manifest.epoch,
@@ -426,13 +395,32 @@ impl DurableWriter {
         Ok((handle, dw, report))
     }
 
-    /// Inserts rows (WAL-logged, then applied).
+    /// Validates, logs and applies one statement through
+    /// [`TableWriter::apply`]. [`Statement::Publish`] is
+    /// [`DurableWriter::publish`].
+    pub fn apply(&mut self, stmt: &Statement) -> io::Result<()> {
+        if let Statement::Publish = stmt {
+            return self.publish().map(drop);
+        }
+        self.log(stmt)?;
+        self.writer.apply(stmt).map_err(invalid_input)
+    }
+
+    /// The validate → log half of every statement.
+    fn log(&mut self, stmt: &Statement) -> io::Result<()> {
+        stmt.validate(self.writer.staging())
+            .map_err(invalid_input)?;
+        self.wal.append(stmt).map(drop)
+    }
+
+    /// Inserts rows (validated, WAL-logged, then applied).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> io::Result<Vec<RowAddr>> {
-        self.wal.append(&Record::Insert(rows.to_vec()))?;
+        self.log(&Statement::Insert(rows.to_vec()))?;
         Ok(self.writer.insert(rows))
     }
 
-    /// Patches one column of visible rows (WAL-logged, then applied).
+    /// Patches one column of visible rows (validated, WAL-logged, then
+    /// applied).
     pub fn modify(
         &mut self,
         pid: usize,
@@ -440,92 +428,20 @@ impl DurableWriter {
         col: usize,
         values: &[Value],
     ) -> io::Result<()> {
-        self.wal.append(&Record::Modify {
+        self.apply(&Statement::Modify {
             pid,
             rids: rids.to_vec(),
             col,
             values: values.to_vec(),
-        })?;
-        self.writer.modify(pid, rids, col, values);
-        Ok(())
+        })
     }
 
-    /// Deletes visible rows (WAL-logged, then applied).
+    /// Deletes visible rows (validated, WAL-logged, then applied).
     pub fn delete(&mut self, pid: usize, rids: &[usize]) -> io::Result<()> {
-        self.wal.append(&Record::Delete {
+        self.apply(&Statement::Delete {
             pid,
             rids: rids.to_vec(),
-        })?;
-        self.writer.delete(pid, rids);
-        Ok(())
-    }
-
-    /// Creates a PatchIndex (WAL-logged, then applied); returns its slot.
-    pub fn add_index(
-        &mut self,
-        col: usize,
-        constraint: Constraint,
-        design: Design,
-    ) -> io::Result<usize> {
-        self.wal.append(&Record::AddIndex {
-            col,
-            constraint,
-            design,
-        })?;
-        Ok(self.writer.add_index(col, constraint, design))
-    }
-
-    /// Drops the index in `slot` (WAL-logged, then applied).
-    pub fn drop_index(&mut self, slot: usize) -> io::Result<Arc<PatchIndex>> {
-        self.wal.append(&Record::DropIndex { slot })?;
-        Ok(self.writer.drop_index(slot))
-    }
-
-    /// Recomputes the index in `slot` (WAL-logged, then applied).
-    pub fn recompute_index(&mut self, slot: usize) -> io::Result<()> {
-        self.wal.append(&Record::Recompute { slot })?;
-        self.writer.recompute_index(slot);
-        Ok(())
-    }
-
-    /// Flushes deferred maintenance (WAL-logged, then applied — the log
-    /// record matters because a later recompute discards pending work,
-    /// so flush points are part of the history).
-    pub fn flush_maintenance(&mut self) -> io::Result<()> {
-        self.wal.append(&Record::Flush)?;
-        self.writer.flush_maintenance();
-        Ok(())
-    }
-
-    /// Records planner feedback against `slot` (WAL-logged: the advisor's
-    /// observe state must survive recovery).
-    pub fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) -> io::Result<()> {
-        self.wal.append(&Record::Feedback {
-            slot,
-            est_cost_saved,
-        })?;
-        self.writer
-            .staging_mut()
-            .record_query_feedback(slot, est_cost_saved);
-        Ok(())
-    }
-
-    /// Records a measured query execution against `slot` (WAL-logged).
-    pub fn record_query_timing(
-        &mut self,
-        slot: usize,
-        actual_micros: f64,
-        est_cost: f64,
-    ) -> io::Result<()> {
-        self.wal.append(&Record::Timing {
-            slot,
-            actual_micros,
-            est_cost,
-        })?;
-        self.writer
-            .staging_mut()
-            .record_query_timing(slot, actual_micros, est_cost);
-        Ok(())
+        })
     }
 
     /// Publishes a flushed epoch durably: drains reader-reported
@@ -538,35 +454,10 @@ impl DurableWriter {
     pub fn publish(&mut self) -> io::Result<u64> {
         // Reader evidence arrives outside the statement path; route the
         // state-bearing events through the log so replay restores them.
-        for event in self.writer.sink().drain() {
-            match event {
-                WorkloadEvent::Query { col, shape } => {
-                    // Advisory only (query-log heat): not part of the
-                    // recovered state image, applied without logging.
-                    self.writer.staging_mut().record_query(col, shape);
-                }
-                WorkloadEvent::Feedback {
-                    column,
-                    constraint,
-                    est_cost_saved,
-                } => {
-                    if let Some(slot) = self.slot_of(column, constraint) {
-                        self.record_query_feedback(slot, est_cost_saved)?;
-                    }
-                }
-                WorkloadEvent::Timing {
-                    column,
-                    constraint,
-                    actual_micros,
-                    est_cost,
-                } => {
-                    if let Some(slot) = self.slot_of(column, constraint) {
-                        self.record_query_timing(slot, actual_micros, est_cost)?;
-                    }
-                }
-            }
+        for stmt in self.writer.drain_feedback() {
+            self.apply(&stmt)?;
         }
-        self.wal.append(&Record::Publish)?;
+        self.wal.append(&Statement::Publish)?;
         let publish_seq = self.wal.next_seq() - 1;
         if self.opts.sync == SyncPolicy::EveryPublish {
             self.wal.sync_all()?;
@@ -587,14 +478,6 @@ impl DurableWriter {
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.wal.set_metrics(wal::WalMetrics::new(registry));
         self.metrics = Some(CkptMetrics::new(registry));
-    }
-
-    fn slot_of(&self, column: usize, constraint: Constraint) -> Option<usize> {
-        self.writer
-            .staging()
-            .indexes()
-            .iter()
-            .position(|idx| idx.column() == column && idx.constraint() == constraint)
     }
 
     /// Writes a checkpoint of the current (flushed) staging state
@@ -798,23 +681,12 @@ impl DurableWriter {
         self.writer.staging()
     }
 
-    /// The wrapped snapshot writer (read-only: statements must go
-    /// through the logging methods on this type).
-    pub fn table_writer(&self) -> &TableWriter {
-        &self.writer
-    }
-
     /// Byte/file counters, including WAL bytes appended so far.
     pub fn stats(&self) -> DurabilityStats {
         DurabilityStats {
             wal_bytes: self.wal.bytes_appended,
             ..self.stats
         }
-    }
-
-    /// The durability directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -827,7 +699,7 @@ fn dict_lens_of(table: &Table) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patchindex::SortDir;
+    use patchindex::{Constraint, Design, SortDir};
     use pi_storage::dfs::SimFs;
     use pi_storage::{DataType, Field, Partitioning, Schema};
 
@@ -881,13 +753,21 @@ mod tests {
     #[test]
     fn create_then_recover_restores_the_exact_state() {
         let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
-        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
-            .unwrap();
+        dw.apply(&Statement::AddIndex {
+            col: 1,
+            constraint: Constraint::NearlyUnique,
+            design: Design::Bitmap,
+        })
+        .unwrap();
         dw.insert(&[row(100, 2, "x"), row(101, 24, "p0-a")])
             .unwrap();
         dw.modify(0, &[0], 1, &[Value::Int(2)]).unwrap();
         dw.delete(1, &[1]).unwrap();
-        dw.record_query_feedback(0, 42.5).unwrap();
+        dw.apply(&Statement::Feedback {
+            slot: 0,
+            est_cost_saved: 42.5,
+        })
+        .unwrap();
         dw.publish().unwrap();
         let want = state_image(dw.staging());
         let epoch = dw.epoch();
@@ -950,11 +830,11 @@ mod tests {
     #[test]
     fn recovery_is_idempotent_across_repeated_crashes() {
         let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
-        dw.add_index(
-            0,
-            Constraint::NearlySorted(SortDir::Asc),
-            Design::Identifier,
-        )
+        dw.apply(&Statement::AddIndex {
+            col: 0,
+            constraint: Constraint::NearlySorted(SortDir::Asc),
+            design: Design::Identifier,
+        })
         .unwrap();
         dw.insert(&[row(100, 2, "z"), row(50, 3, "p1-b")]).unwrap();
         dw.publish().unwrap();
@@ -1007,13 +887,30 @@ mod tests {
     #[test]
     fn advisor_counters_survive_recovery() {
         let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
-        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
-            .unwrap();
-        dw.record_query_feedback(0, 10.0).unwrap();
-        dw.record_query_timing(0, 5.5, 44.0).unwrap();
+        dw.apply(&Statement::AddIndex {
+            col: 1,
+            constraint: Constraint::NearlyUnique,
+            design: Design::Bitmap,
+        })
+        .unwrap();
+        dw.apply(&Statement::Feedback {
+            slot: 0,
+            est_cost_saved: 10.0,
+        })
+        .unwrap();
+        dw.apply(&Statement::Timing {
+            slot: 0,
+            actual_micros: 5.5,
+            est_cost: 44.0,
+        })
+        .unwrap();
         dw.publish().unwrap();
         // A second epoch so the counters cross a checkpoint boundary too.
-        dw.record_query_feedback(0, 2.5).unwrap();
+        dw.apply(&Statement::Feedback {
+            slot: 0,
+            est_cost_saved: 2.5,
+        })
+        .unwrap();
         dw.publish().unwrap();
         drop(dw);
         fs.crash(5);
@@ -1068,6 +965,67 @@ mod tests {
             registry.gauge("recovery.replayed").get(),
             report.replayed as i64
         );
+    }
+
+    #[test]
+    fn invalid_statements_are_refused_before_the_log() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let (_fs, _handle, mut dw) = setup(2, DurableOptions::default());
+        dw.attach_metrics(&registry);
+        let image = state_image(dw.staging());
+        for stmt in [
+            Statement::Modify {
+                pid: 0,
+                rids: vec![3],
+                col: 1,
+                values: vec![Value::Int(1)],
+            },
+            // Column `v` is Int.
+            Statement::Insert(vec![row(1, 0, "x"), {
+                let mut r = row(2, 0, "y");
+                r[1] = Value::Str("z".into());
+                r
+            }]),
+            Statement::DropIndex { slot: 0 },
+        ] {
+            let err = dw.apply(&stmt).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{stmt:?}");
+            assert_eq!(registry.counter("wal.appends").get(), 0, "{stmt:?}");
+            assert_eq!(state_image(dw.staging()), image, "{stmt:?}");
+        }
+    }
+
+    #[test]
+    fn an_unreplayable_record_fails_recovery_instead_of_panicking() {
+        let (fs, _handle, dw) = setup(1, DurableOptions::default());
+        drop(dw);
+        // What a writer without validation logged: a modify past the
+        // partition's three rows, then the publish that makes it durable.
+        let mut wal = wal::WalWriter::new(
+            fs.clone(),
+            PathBuf::from("/db"),
+            SyncPolicy::EveryRecord,
+            1 << 20,
+            1,
+        );
+        wal.append(&Statement::Modify {
+            pid: 0,
+            rids: vec![7],
+            col: 1,
+            values: vec![Value::Int(1)],
+        })
+        .unwrap();
+        wal.append(&Statement::Publish).unwrap();
+        let err = match DurableWriter::recover(
+            fs.clone(),
+            PathBuf::from("/db"),
+            DurableOptions::default(),
+            MaintenancePolicy::default(),
+        ) {
+            Ok(_) => panic!("an out-of-range logged modify must fail recovery"),
+            Err(e) => e,
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The statement write-ahead log.
 //!
-//! Every update statement against a [`crate::DurableWriter`] is encoded as
-//! one WAL record and appended **before** it is applied (log-then-apply:
-//! if the append fails, the statement is not applied, so the durable log
-//! always describes a superset of the applied state). Records live in
+//! Every [`Statement`] against a [`crate::DurableWriter`] is validated
+//! against the staging table, encoded as one WAL record and appended
+//! **before** it is applied (validate → log → apply: a statement that
+//! fails validation is never logged, and if the append fails the
+//! statement is not applied, so the durable log always describes a
+//! superset of the applied state and replays cleanly). Records live in
 //! append-only segment files `wal-<startseq>.log`; each record is framed
 //!
 //! ```text
@@ -27,7 +29,9 @@ use pi_storage::crc::crc32;
 use pi_storage::dfs::DurableFs;
 use pi_storage::Value;
 
-use patchindex::{Constraint, Design, SortDir};
+use crate::codec::{bad, put_f64, put_i64, put_str, put_u32, put_u64, read_i64, read_str};
+
+use patchindex::{Constraint, Design, SortDir, Statement};
 
 /// When WAL appends are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,70 +49,6 @@ pub enum SyncPolicy {
     OsBuffered,
 }
 
-/// One logged statement.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Record {
-    /// Rows inserted through the writer.
-    Insert(Vec<Vec<Value>>),
-    /// One column of one partition patched.
-    Modify {
-        /// Partition id.
-        pid: usize,
-        /// Visible rowIDs patched.
-        rids: Vec<usize>,
-        /// Column index.
-        col: usize,
-        /// Replacement values, one per rid.
-        values: Vec<Value>,
-    },
-    /// Visible rows of one partition deleted.
-    Delete {
-        /// Partition id.
-        pid: usize,
-        /// Visible rowIDs deleted (pre-delete numbering).
-        rids: Vec<usize>,
-    },
-    /// A PatchIndex created.
-    AddIndex {
-        /// Indexed column.
-        col: usize,
-        /// Constraint kind.
-        constraint: Constraint,
-        /// Bitmap or Identifier design.
-        design: Design,
-    },
-    /// The index in `slot` dropped.
-    DropIndex {
-        /// Slot at drop time.
-        slot: usize,
-    },
-    /// The index in `slot` recomputed from the table.
-    Recompute {
-        /// Slot at recompute time.
-        slot: usize,
-    },
-    /// All deferred maintenance flushed explicitly.
-    Flush,
-    /// An epoch published (durable high-water marks point at these).
-    Publish,
-    /// Optimizer feedback recorded against the index in `slot`.
-    Feedback {
-        /// Slot at record time.
-        slot: usize,
-        /// Estimated planner cost saved.
-        est_cost_saved: f64,
-    },
-    /// A measured query execution recorded against the index in `slot`.
-    Timing {
-        /// Slot at record time.
-        slot: usize,
-        /// Measured wall-clock micros.
-        actual_micros: f64,
-        /// Estimated cost of the chosen plan.
-        est_cost: f64,
-    },
-}
-
 const T_INSERT: u8 = 1;
 const T_MODIFY: u8 = 2;
 const T_DELETE: u8 = 3;
@@ -124,32 +64,19 @@ const T_TIMING: u8 = 10;
 /// corrupt length field, not an allocation request.
 const MAX_PAYLOAD: u32 = 64 << 20;
 
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(b: &mut Vec<u8>, v: f64) {
-    put_u64(b, v.to_bits());
-}
-
 pub(crate) fn put_value(b: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Int(i) => {
             b.push(0);
-            b.extend_from_slice(&i.to_le_bytes());
+            put_i64(b, *i);
         }
         Value::Float(f) => {
             b.push(1);
-            b.extend_from_slice(&f.to_bits().to_le_bytes());
+            put_f64(b, *f);
         }
         Value::Str(s) => {
             b.push(2);
-            put_u32(b, s.len() as u32);
-            b.extend_from_slice(s.as_bytes());
+            put_str(b, s);
         }
     }
 }
@@ -178,26 +105,23 @@ pub(crate) fn read_u8(r: &mut impl Read) -> io::Result<u8> {
 
 pub(crate) fn read_value(r: &mut impl Read) -> io::Result<Value> {
     match read_u8(r)? {
-        0 => {
-            let mut buf = [0u8; 8];
-            r.read_exact(&mut buf)?;
-            Ok(Value::Int(i64::from_le_bytes(buf)))
-        }
+        0 => Ok(Value::Int(read_i64(r)?)),
         1 => Ok(Value::Float(read_f64(r)?)),
-        2 => {
-            let len = read_u32(r)? as usize;
-            let mut buf = vec![0u8; len];
-            r.read_exact(&mut buf)?;
-            String::from_utf8(buf)
-                .map(Value::Str)
-                .map_err(|_| bad("non-utf8 string value"))
-        }
+        2 => Ok(Value::Str(read_str(r)?)),
         t => Err(bad(&format!("unknown value tag {t}"))),
     }
 }
 
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+fn put_rids(b: &mut Vec<u8>, rids: &[usize]) {
+    put_u32(b, rids.len() as u32);
+    for r in rids {
+        put_u64(b, *r as u64);
+    }
+}
+
+fn read_rids(r: &mut impl Read) -> io::Result<Vec<usize>> {
+    let n = read_u32(r)?;
+    (0..n).map(|_| Ok(read_u64(r)? as usize)).collect()
 }
 
 fn constraint_tag(c: Constraint) -> u8 {
@@ -219,160 +143,140 @@ fn constraint_from_tag(tag: u8) -> io::Result<Constraint> {
     }
 }
 
-impl Record {
-    fn encode_body(&self, b: &mut Vec<u8>) {
-        match self {
-            Record::Insert(rows) => {
-                put_u32(b, rows.len() as u32);
-                for row in rows {
-                    put_u32(b, row.len() as u32);
-                    for v in row {
-                        put_value(b, v);
-                    }
+/// Appends `stmt`'s type tag and body to `b`.
+fn encode(stmt: &Statement, b: &mut Vec<u8>) {
+    match stmt {
+        Statement::Insert(rows) => {
+            b.push(T_INSERT);
+            put_u32(b, rows.len() as u32);
+            for row in rows {
+                put_u32(b, row.len() as u32);
+                for v in row {
+                    put_value(b, v);
                 }
             }
-            Record::Modify {
+        }
+        Statement::Modify {
+            pid,
+            rids,
+            col,
+            values,
+        } => {
+            b.push(T_MODIFY);
+            put_u32(b, *pid as u32);
+            put_u32(b, *col as u32);
+            put_rids(b, rids);
+            for v in values {
+                put_value(b, v);
+            }
+        }
+        Statement::Delete { pid, rids } => {
+            b.push(T_DELETE);
+            put_u32(b, *pid as u32);
+            put_rids(b, rids);
+        }
+        Statement::AddIndex {
+            col,
+            constraint,
+            design,
+        } => {
+            b.push(T_ADD_INDEX);
+            put_u32(b, *col as u32);
+            b.push(constraint_tag(*constraint));
+            b.push(matches!(design, Design::Identifier) as u8);
+        }
+        Statement::DropIndex { slot } => {
+            b.push(T_DROP_INDEX);
+            put_u32(b, *slot as u32);
+        }
+        Statement::Recompute { slot } => {
+            b.push(T_RECOMPUTE);
+            put_u32(b, *slot as u32);
+        }
+        Statement::Flush => b.push(T_FLUSH),
+        Statement::Publish => b.push(T_PUBLISH),
+        Statement::Feedback {
+            slot,
+            est_cost_saved,
+        } => {
+            b.push(T_FEEDBACK);
+            put_u32(b, *slot as u32);
+            put_f64(b, *est_cost_saved);
+        }
+        Statement::Timing {
+            slot,
+            actual_micros,
+            est_cost,
+        } => {
+            b.push(T_TIMING);
+            put_u32(b, *slot as u32);
+            put_f64(b, *actual_micros);
+            put_f64(b, *est_cost);
+        }
+    }
+}
+
+/// Reads one statement (type tag, then body) written by [`encode`].
+/// Lengths come from the log, so nothing is preallocated from them.
+fn decode(r: &mut impl Read) -> io::Result<Statement> {
+    Ok(match read_u8(r)? {
+        T_INSERT => {
+            let nrows = read_u32(r)?;
+            let rows = (0..nrows)
+                .map(|_| {
+                    let ncols = read_u32(r)?;
+                    (0..ncols).map(|_| read_value(r)).collect()
+                })
+                .collect::<io::Result<_>>()?;
+            Statement::Insert(rows)
+        }
+        T_MODIFY => {
+            let pid = read_u32(r)? as usize;
+            let col = read_u32(r)? as usize;
+            let rids = read_rids(r)?;
+            let values = rids
+                .iter()
+                .map(|_| read_value(r))
+                .collect::<io::Result<_>>()?;
+            Statement::Modify {
                 pid,
                 rids,
                 col,
                 values,
-            } => {
-                put_u32(b, *pid as u32);
-                put_u32(b, *col as u32);
-                put_u32(b, rids.len() as u32);
-                for r in rids {
-                    put_u64(b, *r as u64);
-                }
-                for v in values {
-                    put_value(b, v);
-                }
-            }
-            Record::Delete { pid, rids } => {
-                put_u32(b, *pid as u32);
-                put_u32(b, rids.len() as u32);
-                for r in rids {
-                    put_u64(b, *r as u64);
-                }
-            }
-            Record::AddIndex {
-                col,
-                constraint,
-                design,
-            } => {
-                put_u32(b, *col as u32);
-                b.push(constraint_tag(*constraint));
-                b.push(matches!(design, Design::Identifier) as u8);
-            }
-            Record::DropIndex { slot } | Record::Recompute { slot } => {
-                put_u32(b, *slot as u32);
-            }
-            Record::Flush | Record::Publish => {}
-            Record::Feedback {
-                slot,
-                est_cost_saved,
-            } => {
-                put_u32(b, *slot as u32);
-                put_f64(b, *est_cost_saved);
-            }
-            Record::Timing {
-                slot,
-                actual_micros,
-                est_cost,
-            } => {
-                put_u32(b, *slot as u32);
-                put_f64(b, *actual_micros);
-                put_f64(b, *est_cost);
             }
         }
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            Record::Insert(_) => T_INSERT,
-            Record::Modify { .. } => T_MODIFY,
-            Record::Delete { .. } => T_DELETE,
-            Record::AddIndex { .. } => T_ADD_INDEX,
-            Record::DropIndex { .. } => T_DROP_INDEX,
-            Record::Recompute { .. } => T_RECOMPUTE,
-            Record::Flush => T_FLUSH,
-            Record::Publish => T_PUBLISH,
-            Record::Feedback { .. } => T_FEEDBACK,
-            Record::Timing { .. } => T_TIMING,
-        }
-    }
-
-    fn decode(tag: u8, r: &mut impl Read) -> io::Result<Record> {
-        Ok(match tag {
-            T_INSERT => {
-                let nrows = read_u32(r)? as usize;
-                let mut rows = Vec::with_capacity(nrows.min(1 << 16));
-                for _ in 0..nrows {
-                    let ncols = read_u32(r)? as usize;
-                    let mut row = Vec::with_capacity(ncols.min(1 << 10));
-                    for _ in 0..ncols {
-                        row.push(read_value(r)?);
-                    }
-                    rows.push(row);
-                }
-                Record::Insert(rows)
-            }
-            T_MODIFY => {
-                let pid = read_u32(r)? as usize;
-                let col = read_u32(r)? as usize;
-                let n = read_u32(r)? as usize;
-                let mut rids = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    rids.push(read_u64(r)? as usize);
-                }
-                let mut values = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    values.push(read_value(r)?);
-                }
-                Record::Modify {
-                    pid,
-                    rids,
-                    col,
-                    values,
-                }
-            }
-            T_DELETE => {
-                let pid = read_u32(r)? as usize;
-                let n = read_u32(r)? as usize;
-                let mut rids = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    rids.push(read_u64(r)? as usize);
-                }
-                Record::Delete { pid, rids }
-            }
-            T_ADD_INDEX => Record::AddIndex {
-                col: read_u32(r)? as usize,
-                constraint: constraint_from_tag(read_u8(r)?)?,
-                design: if read_u8(r)? == 1 {
-                    Design::Identifier
-                } else {
-                    Design::Bitmap
-                },
+        T_DELETE => Statement::Delete {
+            pid: read_u32(r)? as usize,
+            rids: read_rids(r)?,
+        },
+        T_ADD_INDEX => Statement::AddIndex {
+            col: read_u32(r)? as usize,
+            constraint: constraint_from_tag(read_u8(r)?)?,
+            design: if read_u8(r)? == 1 {
+                Design::Identifier
+            } else {
+                Design::Bitmap
             },
-            T_DROP_INDEX => Record::DropIndex {
-                slot: read_u32(r)? as usize,
-            },
-            T_RECOMPUTE => Record::Recompute {
-                slot: read_u32(r)? as usize,
-            },
-            T_FLUSH => Record::Flush,
-            T_PUBLISH => Record::Publish,
-            T_FEEDBACK => Record::Feedback {
-                slot: read_u32(r)? as usize,
-                est_cost_saved: read_f64(r)?,
-            },
-            T_TIMING => Record::Timing {
-                slot: read_u32(r)? as usize,
-                actual_micros: read_f64(r)?,
-                est_cost: read_f64(r)?,
-            },
-            t => return Err(bad(&format!("unknown record type {t}"))),
-        })
-    }
+        },
+        T_DROP_INDEX => Statement::DropIndex {
+            slot: read_u32(r)? as usize,
+        },
+        T_RECOMPUTE => Statement::Recompute {
+            slot: read_u32(r)? as usize,
+        },
+        T_FLUSH => Statement::Flush,
+        T_PUBLISH => Statement::Publish,
+        T_FEEDBACK => Statement::Feedback {
+            slot: read_u32(r)? as usize,
+            est_cost_saved: read_f64(r)?,
+        },
+        T_TIMING => Statement::Timing {
+            slot: read_u32(r)? as usize,
+            actual_micros: read_f64(r)?,
+            est_cost: read_f64(r)?,
+        },
+        t => return Err(bad(&format!("unknown record type {t}"))),
+    })
 }
 
 fn segment_name(start_seq: u64) -> String {
@@ -470,16 +374,15 @@ impl WalWriter {
         self.next_seq
     }
 
-    /// Appends one record (rolling segments as needed) and applies the
+    /// Appends one statement (rolling segments as needed) and applies the
     /// per-record half of the sync policy. Returns the record's sequence
     /// number. On error nothing was logged: the caller must not apply
     /// the statement.
-    pub fn append(&mut self, record: &Record) -> io::Result<u64> {
+    pub fn append(&mut self, stmt: &Statement) -> io::Result<u64> {
         let seq = self.next_seq;
         let mut payload = Vec::new();
         payload.extend_from_slice(&seq.to_le_bytes());
-        payload.push(record.tag());
-        record.encode_body(&mut payload);
+        encode(stmt, &mut payload);
         let mut frame = Vec::with_capacity(payload.len() + 8);
         put_u32(&mut frame, payload.len() as u32);
         put_u32(&mut frame, crc32(&payload));
@@ -577,9 +480,9 @@ fn fs_remove_best_effort(fs: &dyn DurableFs, path: &Path, removed: &mut bool) {
 /// of log. This is deliberate: a checksum failure at the tail is
 /// indistinguishable from a crash mid-append, and everything past it was
 /// never acknowledged as durable.
-pub(crate) fn read_log(fs: &dyn DurableFs, dir: &Path) -> io::Result<Vec<(u64, Record)>> {
+pub(crate) fn read_log(fs: &dyn DurableFs, dir: &Path) -> io::Result<Vec<(u64, Statement)>> {
     let segs = list_segments(fs, dir)?;
-    let mut out: Vec<(u64, Record)> = Vec::new();
+    let mut out: Vec<(u64, Statement)> = Vec::new();
     let mut expect_seq: Option<u64> = None;
     for (start_seq, path) in segs {
         match expect_seq {
@@ -611,12 +514,11 @@ pub(crate) fn read_log(fs: &dyn DurableFs, dir: &Path) -> io::Result<Vec<(u64, R
                 tore = true;
                 break;
             }
-            let tag = read_u8(&mut r)?;
-            let record = Record::decode(tag, &mut r)?;
+            let stmt = decode(&mut r)?;
             if !r.is_empty() {
                 return Err(bad("trailing bytes inside WAL record payload"));
             }
-            out.push((seq, record));
+            out.push((seq, stmt));
             expect_seq = Some(seq + 1);
             off += 8 + len as usize;
         }
@@ -634,36 +536,36 @@ mod tests {
     use super::*;
     use pi_storage::dfs::SimFs;
 
-    fn sample_records() -> Vec<Record> {
+    fn sample_records() -> Vec<Statement> {
         vec![
-            Record::Insert(vec![
+            Statement::Insert(vec![
                 vec![Value::Int(1), Value::Float(2.5), Value::Str("ab".into())],
                 vec![Value::Int(2), Value::Float(-0.0), Value::Str("".into())],
             ]),
-            Record::Modify {
+            Statement::Modify {
                 pid: 3,
                 rids: vec![0, 7],
                 col: 1,
                 values: vec![Value::Int(9), Value::Int(10)],
             },
-            Record::Delete {
+            Statement::Delete {
                 pid: 0,
                 rids: vec![5],
             },
-            Record::AddIndex {
+            Statement::AddIndex {
                 col: 2,
                 constraint: Constraint::NearlySorted(SortDir::Desc),
                 design: Design::Identifier,
             },
-            Record::DropIndex { slot: 1 },
-            Record::Recompute { slot: 0 },
-            Record::Flush,
-            Record::Publish,
-            Record::Feedback {
+            Statement::DropIndex { slot: 1 },
+            Statement::Recompute { slot: 0 },
+            Statement::Flush,
+            Statement::Publish,
+            Statement::Feedback {
                 slot: 0,
                 est_cost_saved: 12.25,
             },
-            Record::Timing {
+            Statement::Timing {
                 slot: 2,
                 actual_micros: 8.5,
                 est_cost: 64.0,
@@ -687,6 +589,46 @@ mod tests {
             assert_eq!(*seq, i as u64 + 1);
             assert_eq!(rec, &records[i]);
         }
+    }
+
+    /// The on-disk layout of every statement kind, framing included, as
+    /// written by the encoder before the statement type moved into
+    /// `patchindex`: WAL directories from either side of the move must
+    /// stay mutually readable.
+    #[test]
+    fn segment_bytes_match_the_pinned_layout() {
+        const GOLDEN: &[&str] = &[
+            "4500000024979630010000000000000001020000000300000000010000000000",
+            "0000010000000000000440020200000061620300000000020000000000000001",
+            "00000000000000800200000000370000004684784e0200000000000000020300",
+            "0000010000000200000000000000000000000700000000000000000900000000",
+            "000000000a000000000000001900000053a1fd5c030000000000000003000000",
+            "000100000005000000000000000f00000088b119a10400000000000000040200",
+            "000002010d000000841d0762050000000000000005010000000d000000ff6cd1",
+            "200600000000000000060000000009000000c4ec0c1c07000000000000000709",
+            "000000843e0a530800000000000000081500000031b10db60900000000000000",
+            "090000000000000000008028401d00000066bb15da0a000000000000000a0200",
+            "000000000000000021400000000000005040",
+        ];
+        let fs = Arc::new(SimFs::new());
+        let dir = PathBuf::from("/wal");
+        let mut w = WalWriter::new(fs.clone(), dir.clone(), SyncPolicy::EveryRecord, 1 << 20, 1);
+        for r in sample_records() {
+            w.append(&r).unwrap();
+        }
+        let hex: String = fs
+            .read(&dir.join(segment_name(1)))
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN.concat());
+        let read: Vec<Statement> = read_log(fs.as_ref(), &dir)
+            .unwrap()
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect();
+        assert_eq!(read, sample_records());
     }
 
     #[test]
@@ -731,22 +673,22 @@ mod tests {
         // Segment 1 holds seqs 1-2 with a torn third record; a stale
         // pre-crash segment starting at seq 5 must not be replayed.
         let mut w = WalWriter::new(fs.clone(), dir.clone(), SyncPolicy::EveryRecord, 1 << 20, 1);
-        w.append(&Record::Flush).unwrap();
-        w.append(&Record::Publish).unwrap();
-        w.append(&Record::Flush).unwrap();
+        w.append(&Statement::Flush).unwrap();
+        w.append(&Statement::Publish).unwrap();
+        w.append(&Statement::Flush).unwrap();
         let seg = dir.join(segment_name(1));
         let full = fs.read(&seg).unwrap();
         fs.remove(&seg).unwrap();
         fs.append(&seg, &full[..full.len() - 2]).unwrap();
         let mut stale = WalWriter::new(fs.clone(), dir.clone(), SyncPolicy::EveryRecord, 16, 5);
-        stale.append(&Record::Publish).unwrap();
+        stale.append(&Statement::Publish).unwrap();
         let read = read_log(fs.as_ref(), &dir).unwrap();
         assert_eq!(read.len(), 2);
         // A successor that *does* continue the sequence is replayed.
         let mut cont = WalWriter::new(fs.clone(), dir.clone(), SyncPolicy::EveryRecord, 16, 3);
-        cont.append(&Record::Publish).unwrap();
+        cont.append(&Statement::Publish).unwrap();
         let read = read_log(fs.as_ref(), &dir).unwrap();
         assert_eq!(read.len(), 3);
-        assert_eq!(read[2], (3, Record::Publish));
+        assert_eq!(read[2], (3, Statement::Publish));
     }
 }

@@ -11,7 +11,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use patchindex::routing::route_row;
-use patchindex::{ConcurrentTable, IndexedTable};
+use patchindex::{ConcurrentTable, IndexedTable, Statement};
 use pi_exec::Batch;
 use pi_obs::{Counter, Histogram, MetricsRegistry, QueryTrace};
 use pi_planner::QueryEngine;
@@ -19,7 +19,7 @@ use pi_storage::{DataType, Partitioning, Schema, Table, Value};
 
 use crate::config::ServerConfig;
 use crate::protocol::{parse_value, read_request, write_response, ErrorCode, ServerError};
-use crate::shard::{Shard, ShardMsg, ShardSpawn, Statement};
+use crate::shard::{Shard, ShardMsg, ShardSpawn};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::spec::QuerySpec;
 use crate::{batch_rows, canonical_rows, render_rows};
@@ -544,10 +544,11 @@ impl ServerInner {
         Ok(pid)
     }
 
-    /// Admission-time bounds check of physical row ids against the
-    /// current snapshot. `MODIFY`/`DELETE` address physical rows, so
-    /// this is an operator interface: a concurrent delete between this
-    /// check and apply is the operator's race to avoid.
+    /// Admission-time bounds check of physical row ids against the last
+    /// published snapshot — a fast-fail only. `MODIFY`/`DELETE` address
+    /// physical rows; a statement that no longer fits the state it
+    /// reaches the writer in (say, after an earlier queued delete) is
+    /// rejected there and applied as a no-op.
     fn checked_rids(
         &self,
         sid: usize,
@@ -597,7 +598,7 @@ impl ServerInner {
             ));
         }
         let mut rid_tokens = Vec::new();
-        let mut vals = Vec::new();
+        let mut values = Vec::new();
         for pair in assignments.split(',') {
             let (rid, val) = pair.split_once('=').ok_or_else(|| {
                 ServerError::new(
@@ -606,14 +607,14 @@ impl ServerInner {
                 )
             })?;
             rid_tokens.push(rid);
-            vals.push(parse_value(val, self.dtypes[col])?);
+            values.push(parse_value(val, self.dtypes[col])?);
         }
         let rids = self.checked_rids(sid, pid, rid_tokens.into_iter())?;
         let seq = self.shards[sid].enqueue(Statement::Modify {
             pid,
             rids,
             col,
-            vals,
+            values,
         })?;
         Ok(format!("OK shard={sid} seq={seq}"))
     }

@@ -5,7 +5,9 @@
 //! and enqueued under one lock (so per-shard sequence order *is* queue
 //! order *is* apply order), and a full queue rejects with `ServerBusy`
 //! instead of blocking the connection. The writer thread applies
-//! statements in order, publishes every
+//! statements in order through [`TableWriter::apply`] — one that does
+//! not validate against the state it reaches is a no-op counted in
+//! `shard<N>.statements_rejected` — publishes every
 //! [`crate::ServerConfig::publish_every`] statements, and records
 //! `(epoch, last applied sequence)` after each publish — the pair that
 //! lets readers tag every response with the exact statement prefix it
@@ -20,27 +22,13 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use patchindex::{ConcurrentTable, IndexedTable, ResultCache, TableSnapshot, TableWriter};
+use patchindex::{
+    ConcurrentTable, IndexedTable, ResultCache, Statement, TableSnapshot, TableWriter,
+};
 use pi_advisor::{split_budget, Advisor, AdvisorConfig};
 use pi_obs::{Gauge, MetricsRegistry, ScopedRegistry};
-use pi_storage::Value;
 
 use crate::protocol::{ErrorCode, ServerError};
-
-/// One write statement, as applied by the shard writer.
-pub(crate) enum Statement {
-    /// Append rows (already routed to this shard).
-    Insert(Vec<Vec<Value>>),
-    /// Overwrite column values at physical addresses.
-    Modify {
-        pid: usize,
-        rids: Vec<usize>,
-        col: usize,
-        vals: Vec<Value>,
-    },
-    /// Hide rows at physical addresses.
-    Delete { pid: usize, rids: Vec<usize> },
-}
 
 pub(crate) enum ShardMsg {
     Statement {
@@ -112,6 +100,7 @@ impl Shard {
         let (tx, rx) = mpsc::sync_channel(spec.queue_capacity);
         let queue_depth = spec.server_scope.gauge("queue.depth");
         let statements = spec.server_scope.counter("statements");
+        let rejected = spec.server_scope.counter("statements_rejected");
         let advisor = (spec.advise_every > 0).then(|| {
             Advisor::with_metrics(
                 AdvisorConfig {
@@ -129,6 +118,7 @@ impl Shard {
             publish_every: spec.publish_every.max(1),
             queue_depth: Arc::clone(&queue_depth),
             statements,
+            rejected,
             advisor,
             advise_every: spec.advise_every,
             advisor_budget_bytes: spec.advisor_budget_bytes,
@@ -235,6 +225,9 @@ struct WriterLoop {
     publish_every: u64,
     queue_depth: Arc<Gauge>,
     statements: Arc<pi_obs::Counter>,
+    /// Admitted statements that did not validate against the state they
+    /// reached the writer in, and so were applied as no-ops.
+    rejected: Arc<pi_obs::Counter>,
     advisor: Option<Advisor>,
     advise_every: u64,
     advisor_budget_bytes: usize,
@@ -254,7 +247,9 @@ impl WriterLoop {
                 ShardMsg::Statement { seq, stmt } => {
                     self.queue_depth.add(-1);
                     self.statements.inc();
-                    self.apply(stmt);
+                    if self.writer.apply(&stmt).is_err() {
+                        self.rejected.inc();
+                    }
                     last_seq = seq;
                     since_publish += 1;
                     if since_publish >= self.publish_every {
@@ -290,25 +285,6 @@ impl WriterLoop {
         // visible (and durable via any wrapped WAL) before the join.
         self.writer.flush_maintenance();
         self.publish(last_seq);
-    }
-
-    fn apply(&mut self, stmt: Statement) {
-        match stmt {
-            Statement::Insert(rows) => {
-                self.writer.insert(&rows);
-            }
-            Statement::Modify {
-                pid,
-                rids,
-                col,
-                vals,
-            } => {
-                self.writer.modify(pid, &rids, col, &vals);
-            }
-            Statement::Delete { pid, rids } => {
-                self.writer.delete(pid, &rids);
-            }
-        }
     }
 
     fn publish(&mut self, last_seq: u64) {

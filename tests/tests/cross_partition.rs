@@ -13,7 +13,7 @@
 
 use patchindex::{
     ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy,
-    PublishPolicy,
+    PublishPolicy, Statement,
 };
 use pi_planner::{execute_count, rewrite, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -185,7 +185,7 @@ fn run_concurrent(ops: &[XOp], design: Design) {
             XOp::Insert(vals) => {
                 writer.insert(&rows_for(vals, &mut next_key));
             }
-            XOp::Recompute => writer.recompute_index(slot),
+            XOp::Recompute => writer.apply(&Statement::Recompute { slot }).unwrap(),
             XOp::Flush => writer.flush_maintenance(),
             XOp::Publish => {
                 writer.publish();

@@ -11,13 +11,20 @@
 //! the syncing WAL policies the recovered epoch must additionally cover
 //! every publish that returned `Ok` before the crash.
 //!
+//! The streams also carry, at a small rate, statements that do not fit
+//! the live state (out-of-range rowIDs, partitions and index slots). The
+//! writer must refuse each with `InvalidInput` before logging it, and the
+//! stream carries on.
+//!
 //! `stress_crash_recovery` is the seeded CI lane: `PI_DUR_ITERS` scales
 //! the number of randomized workloads swept exhaustively.
 
 use std::io;
 use std::sync::Arc;
 
-use patchindex::{Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy, SortDir};
+use patchindex::{
+    Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy, SortDir, Statement,
+};
 use pi_durability::{state_image, DurableOptions, DurableWriter, SyncPolicy};
 use pi_storage::dfs::{DurableFs, SimFs};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -58,6 +65,12 @@ enum Stmt {
         saved: f64,
     },
     Publish,
+    /// A statement just past the live state; `kind` picks a modify past
+    /// the last row, a delete in a missing partition, or a drop of a
+    /// missing index slot.
+    OutOfRange {
+        kind: u8,
+    },
 }
 
 fn fresh() -> IndexedTable {
@@ -102,17 +115,18 @@ fn index_kind(kind: u8) -> (usize, Constraint, Design) {
 /// An `Err` means the statement was neither logged nor applied.
 fn apply(dw: &mut DurableWriter, stmt: &Stmt) -> io::Result<bool> {
     let nidx = dw.staging().indexes().len();
-    match stmt {
+    let statement = match stmt {
         Stmt::Insert(values) => {
             // Keys derive from the statement counter: deterministic
             // across the reference run, fused reruns and WAL replay.
             let base = 100_000 + dw.staging().statements() as i64 * 100;
-            let rows: Vec<Vec<Value>> = values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| vec![Value::Int(base + i as i64), Value::Int(v)])
-                .collect();
-            dw.insert(&rows)?;
+            Statement::Insert(
+                values
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| vec![Value::Int(base + i as i64), Value::Int(v)])
+                    .collect(),
+            )
         }
         Stmt::Modify {
             pid,
@@ -121,49 +135,76 @@ fn apply(dw: &mut DurableWriter, stmt: &Stmt) -> io::Result<bool> {
         } => {
             let pid = pid % PARTS;
             let len = dw.staging().table().partition(pid).visible_len();
-            if len > 0 {
-                let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-                rids.sort_unstable();
-                rids.dedup();
-                let values: Vec<Value> = rids.iter().map(|_| Value::Int(*value)).collect();
-                dw.modify(pid, &rids, 1, &values)?;
+            if len == 0 {
+                return Ok(false);
+            }
+            let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
+            rids.sort_unstable();
+            rids.dedup();
+            let values = rids.iter().map(|_| Value::Int(*value)).collect();
+            Statement::Modify {
+                pid,
+                rids,
+                col: 1,
+                values,
             }
         }
         Stmt::Delete { pid, rid_seeds } => {
             let pid = pid % PARTS;
             let len = dw.staging().table().partition(pid).visible_len();
-            if len > 0 {
-                let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-                dw.delete(pid, &rids)?;
+            if len == 0 {
+                return Ok(false);
+            }
+            let rids = rid_seeds.iter().map(|&s| s as usize % len).collect();
+            Statement::Delete { pid, rids }
+        }
+        Stmt::AddIndex { kind } if nidx < 4 => {
+            let (col, constraint, design) = index_kind(*kind);
+            Statement::AddIndex {
+                col,
+                constraint,
+                design,
             }
         }
-        Stmt::AddIndex { kind } => {
-            if nidx < 4 {
-                let (col, constraint, design) = index_kind(*kind);
-                dw.add_index(col, constraint, design)?;
-            }
-        }
-        Stmt::DropIndex { seed } => {
-            if nidx > 0 {
-                dw.drop_index(seed % nidx)?;
-            }
-        }
-        Stmt::Recompute { seed } => {
-            if nidx > 0 {
-                dw.recompute_index(seed % nidx)?;
-            }
-        }
-        Stmt::Flush => dw.flush_maintenance()?,
-        Stmt::Feedback { seed, saved } => {
-            if nidx > 0 {
-                dw.record_query_feedback(seed % nidx, *saved)?;
-            }
-        }
+        Stmt::DropIndex { seed } if nidx > 0 => Statement::DropIndex { slot: seed % nidx },
+        Stmt::Recompute { seed } if nidx > 0 => Statement::Recompute { slot: seed % nidx },
+        Stmt::Flush => Statement::Flush,
+        Stmt::Feedback { seed, saved } if nidx > 0 => Statement::Feedback {
+            slot: seed % nidx,
+            est_cost_saved: *saved,
+        },
         Stmt::Publish => {
             dw.publish()?;
             return Ok(true);
         }
-    }
+        Stmt::OutOfRange { kind } => {
+            let pid = *kind as usize % PARTS;
+            let bad = match kind % 3 {
+                0 => Statement::Modify {
+                    pid,
+                    rids: vec![dw.staging().table().partition(pid).visible_len()],
+                    col: 1,
+                    values: vec![Value::Int(0)],
+                },
+                1 => Statement::Delete {
+                    pid: PARTS,
+                    rids: vec![0],
+                },
+                _ => Statement::DropIndex { slot: nidx },
+            };
+            let err = dw
+                .apply(&bad)
+                .expect_err("an out-of-range statement must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}");
+            return Ok(false);
+        }
+        // Index statements with no index to name (or no room for one).
+        Stmt::AddIndex { .. }
+        | Stmt::DropIndex { .. }
+        | Stmt::Recompute { .. }
+        | Stmt::Feedback { .. } => return Ok(false),
+    };
+    dw.apply(&statement)?;
     Ok(false)
 }
 
@@ -285,7 +326,7 @@ fn stream(seed: u64, len: usize) -> Vec<Stmt> {
         Stmt::Publish,
     ];
     for _ in 0..len {
-        out.push(match rng.gen_range(0..13) {
+        out.push(match rng.gen_range(0..14) {
             0..=3 => Stmt::Insert(
                 (0..rng.gen_range(1..5))
                     .map(|_| rng.gen_range(-50i64..50))
@@ -314,7 +355,10 @@ fn stream(seed: u64, len: usize) -> Vec<Stmt> {
                 seed: rng.next_u32() as usize,
                 saved: rng.gen_range(0..100) as f64,
             },
-            _ => Stmt::Publish,
+            12 => Stmt::Publish,
+            _ => Stmt::OutOfRange {
+                kind: rng.gen_range(0..6),
+            },
         });
     }
     out.push(Stmt::Publish);

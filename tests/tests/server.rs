@@ -10,6 +10,11 @@
 //! no half-applied statements, no cache staleness, regardless of how
 //! many clients were writing at the time.
 //!
+//! The replay applies each acknowledged statement the way the shard
+//! writer does: through `Statement::validate` / `Statement::apply`,
+//! skipping (as a counted no-op) one that does not fit the state it
+//! reaches — an `OK seq=n` acknowledges admission, not application.
+//!
 //! The suite also pins the two operational behaviours the wire protocol
 //! documents: backpressure (a full statement queue rejects with
 //! `ServerBusy` instead of blocking) and clean-shutdown drain (every
@@ -29,7 +34,7 @@ use pi_storage::{DataType, Field, Partitioning, Schema, Table, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use patchindex::IndexedTable;
+use patchindex::{IndexedTable, Statement};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -50,13 +55,35 @@ fn parse_epoch_seqs(resp: &str, nshards: usize) -> Vec<u64> {
     seqs
 }
 
-/// One client's recorded traffic: acked single-row inserts and full
-/// query responses, in issue order.
+/// One client's recorded traffic: acked statements and full query
+/// responses, in the order sent.
 struct ClientLog {
-    /// (shard, seq, row) per acknowledged `INSERT`.
-    writes: Vec<(usize, u64, Vec<Value>)>,
+    /// (shard, seq, statement) per acknowledged write.
+    writes: Vec<(usize, u64, Statement)>,
     /// (spec text, raw response) per `QUERY`.
     reads: Vec<(String, String)>,
+}
+
+/// Replays one shard's acknowledged statements with `seq <= upto` on a
+/// fresh table, skipping — as the shard writer does — those that do not
+/// validate against the state they reach. Returns the table and the
+/// number skipped.
+fn replay(log: &BTreeMap<u64, Statement>, upto: u64, partitions: usize) -> (IndexedTable, u64) {
+    let mut it = IndexedTable::new(Table::new(
+        "ref",
+        schema(),
+        partitions,
+        Partitioning::RoundRobin,
+    ));
+    let mut rejected = 0;
+    for stmt in log.range(..=upto).map(|(_, s)| s) {
+        match stmt.validate(&it) {
+            Ok(()) => stmt.apply(&mut it),
+            Err(_) => rejected += 1,
+        }
+    }
+    it.flush_maintenance();
+    (it, rejected)
 }
 
 /// Replays the statement prefix `seq <= watermark[shard]` for every
@@ -65,23 +92,14 @@ struct ClientLog {
 fn reference_response(
     spec_text: &str,
     watermarks: &[u64],
-    by_shard: &[BTreeMap<u64, Vec<Value>>],
+    by_shard: &[BTreeMap<u64, Statement>],
     partitions_per_shard: usize,
 ) -> String {
     let spec = QuerySpec::parse(spec_text).unwrap();
     let plan = spec.fanout_plan();
     let mut rows = Vec::new();
     for (sid, log) in by_shard.iter().enumerate() {
-        let mut it = IndexedTable::new(Table::new(
-            format!("ref{sid}"),
-            schema(),
-            partitions_per_shard,
-            Partitioning::RoundRobin,
-        ));
-        for (_, row) in log.range(..=watermarks[sid]) {
-            it.insert(std::slice::from_ref(row));
-        }
-        it.flush_maintenance();
+        let (it, _) = replay(log, watermarks[sid], partitions_per_shard);
         rows.extend(batch_rows(&execute(&plan, it.table(), NO_INDEXES)));
     }
     let rows = canonical_rows(&spec, rows);
@@ -91,6 +109,18 @@ fn reference_response(
         spec.output_width(),
         render_rows(&rows)
     )
+}
+
+/// A counter's value in a `METRICS` document (0 when absent).
+fn metric(doc: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    doc.find(&key).map_or(0, |at| {
+        let digits: String = doc[at + key.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    })
 }
 
 /// Strips the `epochs=...` token from a response header so reference
@@ -110,8 +140,12 @@ fn without_epochs(resp: &str) -> String {
 }
 
 /// Three clients hammer a 2-shard server with interleaved single-row
-/// inserts and queries; every query response must match the
-/// single-threaded index-free replay of its exact statement prefix.
+/// inserts, modifies and deletes of low rowIDs, and queries; every query
+/// response must match the single-threaded index-free replay of its
+/// exact statement prefix. A modify or delete may fail admission, or —
+/// when another client's delete lands first — pass admission and be
+/// rejected by the writer; the replay skips exactly those, and each
+/// shard's `statements_rejected` counter must agree.
 #[test]
 fn concurrent_clients_match_prefix_replay() {
     const NSHARDS: usize = 2;
@@ -145,9 +179,9 @@ fn concurrent_clients_match_prefix_replay() {
                     reads: Vec::new(),
                 };
                 for i in 0..OPS {
-                    if rng.gen_bool(0.6) {
-                        // Globally unique key so replays are order-free
-                        // across clients within one shard's seq order.
+                    let roll = rng.gen_range(0..10);
+                    if roll < 3 {
+                        // Globally unique key so rows stay tellable apart.
                         let k = (cid * 1_000_000 + i) as i64;
                         let v = rng.gen_range(0..50i64);
                         let resp = client.request(&format!("INSERT {k},{v}")).unwrap();
@@ -156,8 +190,43 @@ fn concurrent_clients_match_prefix_replay() {
                         log.writes.push((
                             shard.parse().unwrap(),
                             seq.parse().unwrap(),
-                            vec![Value::Int(k), Value::Int(v)],
+                            Statement::Insert(vec![vec![Value::Int(k), Value::Int(v)]]),
                         ));
+                    } else if roll < 6 {
+                        let sid = rng.gen_range(0..NSHARDS);
+                        let pid = rng.gen_range(0..PARTS);
+                        let rids: Vec<usize> = (0..rng.gen_range(1..3))
+                            .map(|_| rng.gen_range(0..8))
+                            .collect();
+                        let (cmd, stmt) = if roll == 4 {
+                            let vals: Vec<i64> =
+                                rids.iter().map(|_| rng.gen_range(0..50)).collect();
+                            let text: Vec<String> = rids
+                                .iter()
+                                .zip(&vals)
+                                .map(|(r, v)| format!("{r}={v}"))
+                                .collect();
+                            (
+                                format!("MODIFY {sid} {pid} 1 {}", text.join(",")),
+                                Statement::Modify {
+                                    pid,
+                                    rids,
+                                    col: 1,
+                                    values: vals.into_iter().map(Value::Int).collect(),
+                                },
+                            )
+                        } else {
+                            let text: Vec<String> = rids.iter().map(usize::to_string).collect();
+                            (
+                                format!("DELETE {sid} {pid} {}", text.join(",")),
+                                Statement::Delete { pid, rids },
+                            )
+                        };
+                        let resp = client.request(&cmd).unwrap();
+                        match header_field(&resp, "seq") {
+                            Some(seq) => log.writes.push((sid, seq.parse().unwrap(), stmt)),
+                            None => assert!(resp.starts_with("ERR BadValue "), "{cmd}: {resp}"),
+                        }
                     } else {
                         let spec = SPECS[rng.gen_range(0..SPECS.len())];
                         let resp = client.request(&format!("QUERY {spec}")).unwrap();
@@ -171,13 +240,13 @@ fn concurrent_clients_match_prefix_replay() {
     });
 
     let logs = logs.into_inner().unwrap();
-    // Merge all clients' write acks into per-shard seq → row maps. Seq
-    // order is apply order (assigned under the enqueue lock), so the
+    // Merge all clients' write acks into per-shard seq → statement maps.
+    // Seq order is apply order (assigned under the enqueue lock), so the
     // merged map *is* each shard's statement log.
-    let mut by_shard: Vec<BTreeMap<u64, Vec<Value>>> = vec![BTreeMap::new(); NSHARDS];
+    let mut by_shard: Vec<BTreeMap<u64, Statement>> = vec![BTreeMap::new(); NSHARDS];
     for log in &logs {
-        for (shard, seq, row) in &log.writes {
-            let prev = by_shard[*shard].insert(*seq, row.clone());
+        for (shard, seq, stmt) in &log.writes {
+            let prev = by_shard[*shard].insert(*seq, stmt.clone());
             assert!(prev.is_none(), "duplicate seq {seq} on shard {shard}");
         }
     }
@@ -195,6 +264,99 @@ fn concurrent_clients_match_prefix_replay() {
         }
     }
     assert!(audited > 50, "too few queries audited: {audited}");
+
+    // PUBLISH queues behind every acked statement, so once it returns
+    // the writers have judged them all.
+    let mut client = Client::connect(addr).unwrap();
+    client.request("PUBLISH").unwrap();
+    let metrics = client.request("METRICS").unwrap();
+    for (sid, log) in by_shard.iter().enumerate() {
+        let (_, rejected) = replay(log, u64::MAX, PARTS);
+        assert_eq!(
+            metric(&metrics, &format!("shard{sid}.statements_rejected")),
+            rejected,
+            "shard {sid}"
+        );
+    }
+    server.shutdown();
+}
+
+/// An admitted statement that no longer fits the state it reaches the
+/// writer in is a counted no-op, not a dead shard. With the writer
+/// parked, `DELETE` empties the partition and a `MODIFY` of a row that
+/// delete removes still passes admission (checked against the last
+/// published snapshot).
+#[test]
+fn rejected_statement_is_a_counted_noop() {
+    let cfg = ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::empty(cfg, schema(), 1).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut log = BTreeMap::new();
+    let mut send = |client: &mut Client, cmd: &str, stmt: Statement| {
+        let resp = client.request(cmd).unwrap();
+        assert!(resp.starts_with("OK "), "{cmd}: {resp}");
+        // `OK shard=0 seq=n` for MODIFY/DELETE, `OK shards=0:n` for INSERT.
+        let seq = header_field(&resp, "seq")
+            .or_else(|| header_field(&resp, "shards")?.strip_prefix("0:"))
+            .unwrap();
+        log.insert(seq.parse::<u64>().unwrap(), stmt);
+    };
+    let row = |k: i64, v: i64| vec![Value::Int(k), Value::Int(v)];
+    send(
+        &mut client,
+        "INSERT 1,10;2,20;3,30",
+        Statement::Insert(vec![row(1, 10), row(2, 20), row(3, 30)]),
+    );
+    client.request("PUBLISH").unwrap();
+
+    let hold = server.hold_shard(0);
+    send(
+        &mut client,
+        "DELETE 0 0 0,1,2",
+        Statement::Delete {
+            pid: 0,
+            rids: vec![0, 1, 2],
+        },
+    );
+    send(
+        &mut client,
+        "MODIFY 0 0 1 2=99",
+        Statement::Modify {
+            pid: 0,
+            rids: vec![2],
+            col: 1,
+            values: vec![Value::Int(99)],
+        },
+    );
+    drop(hold);
+
+    send(
+        &mut client,
+        "INSERT 4,40",
+        Statement::Insert(vec![row(4, 40)]),
+    );
+    let resp = client.request("PUBLISH").unwrap();
+    assert!(resp.starts_with("OK "), "{resp}");
+    let metrics = client.request("METRICS").unwrap();
+    assert_eq!(
+        metric(&metrics, "shard0.statements_rejected"),
+        1,
+        "{metrics}"
+    );
+    assert_eq!(replay(&log, u64::MAX, 1).1, 1);
+
+    for spec in ["scan 0,1 | sort 0:asc", "scan 1"] {
+        let resp = client.request(&format!("QUERY {spec}")).unwrap();
+        let watermarks = parse_epoch_seqs(&resp, 1);
+        assert_eq!(watermarks, vec![4]);
+        assert_eq!(
+            without_epochs(&resp),
+            reference_response(spec, &watermarks, std::slice::from_ref(&log), 1)
+        );
+    }
     server.shutdown();
 }
 
@@ -226,7 +388,16 @@ fn backpressure_rejects_when_queue_full() {
     assert_eq!(client.request("PING").unwrap(), "OK pong");
 
     drop(hold);
-    client.request("PUBLISH").unwrap();
+    // Until the writer takes its first message the queue is still full,
+    // and PUBLISH is admitted through the same queue: retry past
+    // `ServerBusy` as a client would.
+    while client
+        .request("PUBLISH")
+        .unwrap()
+        .starts_with("ERR ServerBusy ")
+    {
+        std::thread::yield_now();
+    }
     let resp = client.request("COUNT scan 0").unwrap();
     assert_eq!(header_field(&resp, "count"), Some("4"));
 
