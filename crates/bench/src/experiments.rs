@@ -1708,7 +1708,6 @@ pub fn concurrency() -> String {
         let mut it = IndexedTable::new(base_table());
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
-        writer.set_publish_policy(patchindex::PublishPolicy::every(1));
         let stop = AtomicBool::new(false);
         let total_queries = AtomicU64::new(0);
         let verified = AtomicU64::new(0);
@@ -1747,10 +1746,8 @@ pub fn concurrency() -> String {
             let start = std::time::Instant::now();
             let mut steps = 0usize;
             while start.elapsed().as_secs_f64() < secs {
-                // Statement-paced publishing (PublishPolicy::every(1))
-                // ships each step's batch — no manual publish
-                // bookkeeping. The recompute runs first so the same
-                // epoch carries it.
+                // One publish per step ships its batch; the recompute
+                // runs first so the same epoch carries it.
                 let (pid, rids, values, recompute) = storm_batch(steps, &mut rng);
                 if recompute {
                     writer
@@ -1758,6 +1755,7 @@ pub fn concurrency() -> String {
                         .expect("recompute");
                 }
                 writer.modify(pid, &rids, 1, &values);
+                writer.publish();
                 steps += 1;
             }
             stop.store(true, Ordering::Relaxed);
@@ -2001,7 +1999,7 @@ pub fn durability() -> String {
 /// (window per configuration) / `PI_CACHE_BUDGETS` (comma-separated
 /// bytes) / `PI_CACHE_CHURN_PAUSE_US` (writer pause between batches).
 pub fn cache() -> String {
-    use patchindex::{ConcurrentTable, IndexedTable, PublishPolicy, ResultCache};
+    use patchindex::{ConcurrentTable, IndexedTable, ResultCache};
     use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
@@ -2066,7 +2064,6 @@ pub fn cache() -> String {
                 Some(c) => ConcurrentTable::with_result_cache(it, Arc::clone(c)),
                 None => ConcurrentTable::new(it),
             };
-            writer.set_publish_policy(PublishPolicy::every(1));
             let stop_measure = AtomicBool::new(false);
             let queries = AtomicU64::new(0);
             let audited = AtomicU64::new(0);
@@ -2140,6 +2137,7 @@ pub fn cache() -> String {
                         .map(|_| Value::Int(base + rng.gen_range(0..rows as i64)))
                         .collect();
                     writer.modify(hot_pid, &rids, 1, &values);
+                    writer.publish();
                     steps += 1;
                     std::thread::sleep(Duration::from_micros(churn_pause_us as u64));
                 }
@@ -2275,7 +2273,7 @@ pub fn cache() -> String {
 /// repetitions per overhead round) / `PI_OBS_ROUNDS` (rounds per
 /// overhead measurement, median taken).
 pub fn obs() -> String {
-    use patchindex::{ConcurrentTable, IndexedTable, PublishPolicy, ResultCache};
+    use patchindex::{ConcurrentTable, IndexedTable, ResultCache};
     use pi_obs::{CacheOutcome, MetricsRegistry};
     use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
     use std::sync::Arc;
@@ -2335,7 +2333,6 @@ pub fn obs() -> String {
         &registry,
     ));
     let (handle, mut writer) = instrumented(Some(Arc::clone(&cache)), &registry);
-    writer.set_publish_policy(PublishPolicy::every(1));
     let hot_pid = parts - 1;
     let mut rng = SmallRng::seed_from_u64(0x0B5);
     let mut audited = 0u64;
@@ -2397,6 +2394,7 @@ pub fn obs() -> String {
             .map(|_| Value::Int(base + rng.gen_range(0..rows as i64)))
             .collect();
         writer.modify(hot_pid, &rids, 1, &values);
+        writer.publish();
     }
     assert!(exact, "every traced answer must be byte-identical");
     assert!(

@@ -76,8 +76,6 @@ pub use constraint::{Constraint, Design, SortDir};
 pub use index::{DriftBaseline, PartitionIndex, PatchIndex, QueryFeedback};
 pub use indexed::{IndexedTable, MaintenanceMode, MaintenancePolicy, QueryLog, QueryShape};
 pub use maintenance::{drp_ranges, MaintenanceStats, ProbeStrategy};
-pub use snapshot::{
-    ConcurrentTable, PublishPolicy, TableSnapshot, TableWriter, WorkloadEvent, WorkloadSink,
-};
+pub use snapshot::{ConcurrentTable, TableSnapshot, TableWriter, WorkloadEvent, WorkloadSink};
 pub use statement::{Statement, StatementError};
 pub use store::PatchStore;

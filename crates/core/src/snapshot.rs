@@ -64,7 +64,7 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design};
 use crate::index::PatchIndex;
-use crate::indexed::{IndexedTable, MaintenancePolicy, QueryShape};
+use crate::indexed::{IndexedTable, QueryShape};
 use crate::statement::{Statement, StatementError};
 
 /// Distinguishes tables sharing one [`ResultCache`] — and, because it is
@@ -156,42 +156,6 @@ impl WorkloadSink {
     /// Whether no events are buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// When a [`TableWriter`] publishes on its own, without explicit
-/// [`TableWriter::publish`] calls — the pacing knob that replaces manual
-/// publish bookkeeping in long writer loops. Statement pacing counts
-/// insert / modify / delete calls against the writer; flush pacing
-/// publishes right after each [`TableWriter::flush_maintenance`], so
-/// readers pick up flushed (non-pending) epochs as soon as they exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PublishPolicy {
-    /// Publish once this many statements accumulated since the last
-    /// publish (`None` disables statement pacing).
-    pub every_statements: Option<u64>,
-    /// Publish immediately after every explicit maintenance flush.
-    pub after_flush: bool,
-}
-
-impl PublishPolicy {
-    /// Manual publishing only (the default).
-    pub fn manual() -> Self {
-        PublishPolicy::default()
-    }
-
-    /// Statement-paced publishing: one publish per `n` statements.
-    pub fn every(n: u64) -> Self {
-        PublishPolicy {
-            every_statements: Some(n.max(1)),
-            after_flush: false,
-        }
-    }
-
-    /// Additionally publish after each maintenance flush.
-    pub fn and_after_flush(mut self) -> Self {
-        self.after_flush = true;
-        self
     }
 }
 
@@ -379,8 +343,6 @@ impl ConcurrentTable {
                 shared,
                 sink,
                 epoch: 0,
-                publish_policy: PublishPolicy::default(),
-                statements_since_publish: 0,
                 cache,
                 cache_token,
                 publish_metrics: metrics.as_deref().map(PublishMetrics::new),
@@ -465,8 +427,6 @@ pub struct TableWriter {
     shared: Arc<Shared>,
     sink: Arc<WorkloadSink>,
     epoch: u64,
-    publish_policy: PublishPolicy,
-    statements_since_publish: u64,
     cache: Option<Arc<ResultCache>>,
     cache_token: u64,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -474,66 +434,35 @@ pub struct TableWriter {
 }
 
 impl TableWriter {
-    /// Inserts rows into the staging table (visible at the next publish,
-    /// which the [`PublishPolicy`] may trigger right away).
+    /// Inserts rows into the staging table (visible at the next publish).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> Vec<RowAddr> {
-        let addrs = self.staging.insert(rows);
-        self.note_statement();
-        addrs
+        self.staging.insert(rows)
     }
 
     /// Patches one column of staged visible rows.
     pub fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
         self.staging.modify(pid, rids, col, values);
-        self.note_statement();
     }
 
     /// Deletes staged visible rows.
     pub fn delete(&mut self, pid: usize, rids: &[usize]) {
         self.staging.delete(pid, rids);
-        self.note_statement();
     }
 
     /// Validates `stmt` against the staging table and applies it — the
     /// write entry point the server's shard writers, `DurableWriter` and
     /// WAL replay share. A statement that fails validation changes
-    /// nothing. Row statements count toward statement pacing, `Flush`
-    /// honours [`PublishPolicy::after_flush`] and `Publish` publishes a
-    /// flushed epoch.
+    /// nothing. `Publish` publishes a flushed epoch; every other
+    /// statement stays staged until the caller publishes.
     pub fn apply(&mut self, stmt: &Statement) -> Result<(), StatementError> {
-        stmt.validate(&self.staging)?;
+        stmt.validate(self.staging.table(), self.staging.indexes().len())?;
         match stmt {
-            Statement::Flush => self.flush_maintenance(),
             Statement::Publish => {
                 self.publish_flushed();
-            }
-            Statement::Insert(_) | Statement::Modify { .. } | Statement::Delete { .. } => {
-                stmt.apply(&mut self.staging);
-                self.note_statement();
             }
             _ => stmt.apply(&mut self.staging),
         }
         Ok(())
-    }
-
-    /// Statement-pacing hook shared by the update entry points.
-    fn note_statement(&mut self) {
-        self.statements_since_publish += 1;
-        if let Some(n) = self.publish_policy.every_statements {
-            if self.statements_since_publish >= n {
-                self.publish();
-            }
-        }
-    }
-
-    /// Replaces the automatic publish pacing (manual by default).
-    pub fn set_publish_policy(&mut self, policy: PublishPolicy) {
-        self.publish_policy = policy;
-    }
-
-    /// The active publish pacing.
-    pub fn publish_policy(&self) -> PublishPolicy {
-        self.publish_policy
     }
 
     /// Creates a PatchIndex (discovery runs on the writer, off the read
@@ -542,23 +471,9 @@ impl TableWriter {
         self.staging.add_index(col, constraint, design)
     }
 
-    /// Runs all deferred maintenance staged on the writer, publishing
-    /// right after when the [`PublishPolicy`] asks for it.
+    /// Runs all deferred maintenance staged on the writer.
     pub fn flush_maintenance(&mut self) {
         self.staging.flush_maintenance();
-        if self.publish_policy.after_flush {
-            self.publish();
-        }
-    }
-
-    /// Applies the maintenance policy once (recompute / condense).
-    pub fn run_policy_now(&mut self) -> (usize, usize) {
-        self.staging.run_policy_now()
-    }
-
-    /// Sets the staging maintenance policy.
-    pub fn set_policy(&mut self, policy: MaintenancePolicy) {
-        self.staging.set_policy(policy);
     }
 
     /// The staging table (reflects unpublished mutations).
@@ -644,13 +559,12 @@ impl TableWriter {
     /// A publish with **zero changes** since the last epoch — every
     /// partition and index Arc pointer-identical to the published
     /// snapshot — is detected and skipped entirely: no epoch bump, no
-    /// catalog capture, no cache sweep. Statement pacing
-    /// ([`PublishPolicy::every`]) therefore cannot churn reader epochs
-    /// (or invalidate result-cache entries) for nothing; the returned
-    /// epoch is the still-current one.
+    /// catalog capture, no cache sweep. A writer that publishes after
+    /// every statement therefore cannot churn reader epochs (or
+    /// invalidate result-cache entries) for nothing; the returned epoch
+    /// is the still-current one.
     pub fn publish(&mut self) -> u64 {
         let start = Instant::now();
-        self.statements_since_publish = 0;
         self.absorb_feedback();
         if self.staging_matches_published() {
             if let Some(m) = &self.publish_metrics {
@@ -861,14 +775,16 @@ mod tests {
         let after = handle.snapshot();
         assert!(Arc::ptr_eq(&before.inner, &after.inner), "same snapshot");
 
-        // Statement pacing over zero-change statements can't churn epochs.
-        writer.set_publish_policy(PublishPolicy::every(1));
-        writer.insert(&[]);
-        writer.insert(&[]);
+        // Publishing after zero-change statements can't churn epochs.
+        for _ in 0..2 {
+            writer.insert(&[]);
+            assert_eq!(writer.publish(), 0);
+        }
         assert_eq!(handle.epoch(), 0);
 
         // A real change publishes again (and exactly once).
         writer.insert(&[row(100, 60)]);
+        assert_eq!(writer.publish(), 1);
         assert_eq!(handle.epoch(), 1);
         assert_eq!(writer.epoch(), 1);
         assert!(!Arc::ptr_eq(
@@ -1115,54 +1031,6 @@ mod tests {
         assert!(handle.snapshot().catalog().indexes[0].pending);
         writer.publish_flushed();
         let snap = handle.snapshot();
-        assert!(!snap.catalog().indexes[0].pending);
-        snap.check_consistency();
-    }
-
-    #[test]
-    fn statement_pacing_publishes_automatically() {
-        let mut it = fresh();
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        writer.set_publish_policy(PublishPolicy::every(3));
-        writer.insert(&[row(100, 60)]);
-        writer.modify(0, &[0], 1, &[Value::Int(11)]);
-        assert_eq!(handle.epoch(), 0, "two statements stay unpublished");
-        writer.delete(1, &[0]);
-        assert_eq!(handle.epoch(), 1, "the third statement publishes");
-        assert_eq!(handle.snapshot().table().visible_len(), 5);
-        // A manual publish restarts the pacing counter.
-        writer.insert(&[row(101, 70)]);
-        writer.publish();
-        assert_eq!(handle.epoch(), 2);
-        writer.insert(&[row(102, 80)]);
-        writer.insert(&[row(103, 90)]);
-        assert_eq!(handle.epoch(), 2);
-        writer.insert(&[row(104, 95)]);
-        assert_eq!(handle.epoch(), 3);
-    }
-
-    #[test]
-    fn flush_pacing_publishes_flushed_epochs() {
-        use crate::indexed::{MaintenanceMode, MaintenancePolicy};
-        let it = fresh().with_policy(MaintenancePolicy {
-            mode: MaintenanceMode::Deferred {
-                flush_rows: usize::MAX,
-            },
-            ..MaintenancePolicy::default()
-        });
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        writer.set_publish_policy(PublishPolicy::manual().and_after_flush());
-        writer.insert(&[row(100, 20)]);
-        assert_eq!(
-            handle.epoch(),
-            0,
-            "flush pacing alone never paces statements"
-        );
-        writer.flush_maintenance();
-        let snap = handle.snapshot();
-        assert_eq!(snap.epoch(), 1, "the flush published");
         assert!(!snap.catalog().indexes[0].pending);
         snap.check_consistency();
     }

@@ -133,12 +133,13 @@ fn check_rids(table: &Table, pid: usize, rids: &[usize]) -> Result<(), Statement
 }
 
 impl Statement {
-    /// Checks the statement against `it`'s current state: partition,
-    /// rowIDs, column, rids/values arity, value types, row width and
-    /// index slot. `Ok` means [`Statement::apply`] on the same state
-    /// cannot trip a storage or index assert.
-    pub fn validate(&self, it: &IndexedTable) -> Result<(), StatementError> {
-        let table = it.table();
+    /// Checks the statement against a state given by its `table` and
+    /// its number of indexes: partition, rowIDs, column, rids/values
+    /// arity, value types, row width and index slot. `Ok` means
+    /// [`Statement::apply`] on an [`IndexedTable`] in that state cannot
+    /// trip a storage or index assert. Writers check their staging
+    /// table; the server checks a published snapshot at admission.
+    pub fn validate(&self, table: &Table, nindexes: usize) -> Result<(), StatementError> {
         let fields = table.schema().fields();
         match self {
             Statement::Insert(rows) => rows.iter().try_for_each(|row| {
@@ -173,7 +174,7 @@ impl Statement {
             Statement::DropIndex { slot }
             | Statement::Recompute { slot }
             | Statement::Feedback { slot, .. }
-            | Statement::Timing { slot, .. } => in_range("index slot", *slot, it.indexes().len()),
+            | Statement::Timing { slot, .. } => in_range("index slot", *slot, nindexes),
             Statement::Flush | Statement::Publish => Ok(()),
         }
     }

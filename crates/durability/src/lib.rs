@@ -349,7 +349,7 @@ impl DurableWriter {
             .map_or(0, |i| i + 1);
         let mut publishes = 0u64;
         for (seq, stmt) in &tail[..apply_upto] {
-            stmt.validate(&it)
+            stmt.validate(it.table(), it.indexes().len())
                 .map_err(|e| bad(&format!("WAL record {seq} does not replay: {e}")))?;
             if matches!(stmt, Statement::Publish) {
                 publishes += 1;
@@ -408,7 +408,8 @@ impl DurableWriter {
 
     /// The validate → log half of every statement.
     fn log(&mut self, stmt: &Statement) -> io::Result<()> {
-        stmt.validate(self.writer.staging())
+        let staging = self.writer.staging();
+        stmt.validate(staging.table(), staging.indexes().len())
             .map_err(invalid_input)?;
         self.wal.append(stmt).map(drop)
     }

@@ -56,31 +56,10 @@ use pi_obs::{CacheOutcome, PlannerTrace, QueryTrace};
 use pi_storage::Table;
 
 use crate::cost::estimate;
-use crate::fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
+use crate::fingerprint::{bound_slots, canonical_bytes, fingerprint_hash, QueryMode};
 use crate::logical::Plan;
 use crate::optimizer::{optimize_with_stats, OptimizeStats};
 use crate::physical::{lower, ExecOpts, ExecTrace, TouchLog};
-
-/// Every PatchScan slot the plan binds, sorted and deduplicated.
-fn bound_slots(plan: &Plan) -> Vec<usize> {
-    fn walk(plan: &Plan, out: &mut Vec<usize>) {
-        match plan {
-            Plan::PatchScan { slot, .. } => out.push(*slot),
-            Plan::Scan { .. } => {}
-            Plan::Distinct { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
-                walk(input, out)
-            }
-            Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
-                inputs.iter().for_each(|p| walk(p, out))
-            }
-        }
-    }
-    let mut slots = Vec::new();
-    walk(plan, &mut slots);
-    slots.sort_unstable();
-    slots.dedup();
-    slots
-}
 
 /// Whether the catalog entry is a NUC index with staged deferred
 /// maintenance — its disjointness invariant is suspended.

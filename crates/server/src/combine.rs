@@ -7,10 +7,11 @@
 //! is what the exactness audits and the prefix-replay property test
 //! compare against.
 //!
-//! Canonical order: the spec's sort keys first (tie-broken by the
-//! remaining columns ascending), full-row lexicographic ascending when
-//! the spec has no sort. `distinct` re-deduplicates globally (shards
-//! eliminate only their own duplicates); `limit` truncates last.
+//! Canonical order: [`QuerySpec::canonical_keys`] — the spec's sort
+//! keys first, tie-broken by the remaining columns ascending; full-row
+//! lexicographic ascending when the spec has no sort. `distinct`
+//! re-deduplicates globally (shards eliminate only their own
+//! duplicates); `limit` truncates last.
 
 use std::cmp::Ordering;
 
@@ -40,19 +41,6 @@ pub fn cmp_value(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-fn cmp_row_suffix(a: &[Value], b: &[Value], skip: &[usize]) -> Ordering {
-    for i in 0..a.len() {
-        if skip.contains(&i) {
-            continue;
-        }
-        match cmp_value(&a[i], &b[i]) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    Ordering::Equal
-}
-
 /// Materializes a batch as row vectors (the combine works row-wise).
 pub fn batch_rows(batch: &Batch) -> Vec<Vec<Value>> {
     let ncols = batch.columns().len();
@@ -65,21 +53,15 @@ pub fn batch_rows(batch: &Batch) -> Vec<Vec<Value>> {
 /// dedup when the spec has `distinct`, canonical ordering, then the
 /// `limit` truncation.
 pub fn canonical_rows(spec: &QuerySpec, mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    let keys: Vec<(usize, SortOrder)> = spec.sort.clone().unwrap_or_default();
-    let key_positions: Vec<usize> = keys.iter().map(|&(p, _)| p).collect();
+    let keys = spec.canonical_keys();
     rows.sort_by(|a, b| {
-        for &(pos, dir) in &keys {
-            let ord = cmp_value(&a[pos], &b[pos]);
-            let ord = if matches!(dir, SortOrder::Desc) {
-                ord.reverse()
-            } else {
-                ord
-            };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        cmp_row_suffix(a, b, &key_positions)
+        keys.iter()
+            .map(|&(pos, dir)| match dir {
+                SortOrder::Asc => cmp_value(&a[pos], &b[pos]),
+                SortOrder::Desc => cmp_value(&b[pos], &a[pos]),
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
     });
     if spec.distinct.is_some() {
         // Shard-local distinct already projected rows to the distinct

@@ -31,7 +31,8 @@ pub struct QuerySpec {
     pub distinct: Option<Vec<usize>>,
     /// Sort keys over output positions, if requested.
     pub sort: Option<Vec<(usize, SortOrder)>>,
-    /// Row-count cap applied after the canonical combine.
+    /// Row-count cap: each shard keeps its first `limit` rows in
+    /// canonical order, and the combine keeps the first `limit` of those.
     pub limit: Option<usize>,
 }
 
@@ -170,18 +171,33 @@ impl QuerySpec {
         out
     }
 
-    /// The logical plan each shard executes. `limit` is *not* lowered —
-    /// a per-shard limit would discard rows another shard's combine
-    /// needs; the server truncates after the canonical merge instead.
+    /// The canonical order of result rows: the spec's sort keys, then
+    /// every other output position ascending. It is a total order on
+    /// distinct rows, so equal keys mean equal rows.
+    pub fn canonical_keys(&self) -> Vec<(usize, SortOrder)> {
+        let mut keys = self.sort.clone().unwrap_or_default();
+        for pos in 0..self.output_width() {
+            if !keys.iter().any(|&(p, _)| p == pos) {
+                keys.push((pos, SortOrder::Asc));
+            }
+        }
+        keys
+    }
+
+    /// The logical plan each shard executes. With a `limit`, each shard
+    /// returns its first `limit` rows in canonical order: under a total
+    /// order every row of the global first `limit` is among its own
+    /// shard's first `limit`, so the combine loses nothing.
     pub fn fanout_plan(&self) -> Plan {
         let mut plan = Plan::scan(self.scan.clone());
         if let Some(d) = &self.distinct {
             plan = plan.distinct(d.clone());
         }
-        if let Some(keys) = &self.sort {
-            plan = plan.sort(keys.clone());
+        match (self.limit, &self.sort) {
+            (Some(n), _) => plan.sort(self.canonical_keys()).limit(n),
+            (None, Some(keys)) => plan.sort(keys.clone()),
+            (None, None) => plan,
         }
-        plan
     }
 }
 
@@ -230,8 +246,35 @@ mod tests {
     }
 
     #[test]
-    fn fanout_plan_excludes_limit() {
-        let spec = QuerySpec::parse("scan 0 | limit 5").unwrap();
-        assert!(matches!(spec.fanout_plan(), Plan::Scan { .. }));
+    fn canonical_keys_extend_the_sort_keys() {
+        let spec = QuerySpec::parse("scan 0,1,2 | sort 1:desc").unwrap();
+        assert_eq!(
+            spec.canonical_keys(),
+            vec![
+                (1, SortOrder::Desc),
+                (0, SortOrder::Asc),
+                (2, SortOrder::Asc)
+            ]
+        );
+        let spec = QuerySpec::parse("scan 0,1,2 | distinct 2,0").unwrap();
+        assert_eq!(
+            spec.canonical_keys(),
+            vec![(0, SortOrder::Asc), (1, SortOrder::Asc)]
+        );
+    }
+
+    #[test]
+    fn fanout_plan_lowers_limit_under_the_canonical_sort() {
+        let spec = QuerySpec::parse("scan 0,1 | sort 1:desc | limit 5").unwrap();
+        let want = Plan::scan(vec![0, 1])
+            .sort(vec![(1, SortOrder::Desc), (0, SortOrder::Asc)])
+            .limit(5);
+        assert_eq!(spec.fanout_plan().to_string(), want.to_string());
+        let spec = QuerySpec::parse("scan 0 | distinct 0 | limit 5").unwrap();
+        let want = Plan::scan(vec![0])
+            .distinct(vec![0])
+            .sort(vec![(0, SortOrder::Asc)])
+            .limit(5);
+        assert_eq!(spec.fanout_plan().to_string(), want.to_string());
     }
 }

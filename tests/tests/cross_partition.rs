@@ -13,7 +13,7 @@
 
 use patchindex::{
     ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy,
-    PublishPolicy, Statement,
+    Statement,
 };
 use pi_planner::{execute_count, rewrite, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -171,25 +171,35 @@ fn run_owner(ops: &[XOp], use_deferred: bool, design: Design) {
 }
 
 /// The same stream through the snapshot path: the writer mutates and
-/// recomputes (with statement-paced auto-publish), readers pull
-/// snapshots and must stay exact at every epoch.
+/// recomputes (publishing every second insert and after each flush),
+/// readers pull snapshots and must stay exact at every epoch.
 fn run_concurrent(ops: &[XOp], design: Design) {
     let it = IndexedTable::new(table_of(&seed_parts())).with_policy(deferred());
     let (handle, mut writer) = ConcurrentTable::new(it);
-    writer.set_publish_policy(PublishPolicy::every(2).and_after_flush());
     let slot = writer.add_index(1, Constraint::NearlyUnique, design);
     let plan = distinct_plan();
     let mut next_key = 10_000i64;
+    let mut unpublished_inserts = 0;
     for op in ops {
-        match op {
+        let publish = match op {
             XOp::Insert(vals) => {
                 writer.insert(&rows_for(vals, &mut next_key));
+                unpublished_inserts += 1;
+                unpublished_inserts == 2
             }
-            XOp::Recompute => writer.apply(&Statement::Recompute { slot }).unwrap(),
-            XOp::Flush => writer.flush_maintenance(),
-            XOp::Publish => {
-                writer.publish();
+            XOp::Recompute => {
+                writer.apply(&Statement::Recompute { slot }).unwrap();
+                false
             }
+            XOp::Flush => {
+                writer.flush_maintenance();
+                true
+            }
+            XOp::Publish => true,
+        };
+        if publish {
+            writer.publish();
+            unpublished_inserts = 0;
         }
         let mut snap = handle.snapshot();
         let reference = execute_count(&plan, snap.table(), NO_INDEXES);

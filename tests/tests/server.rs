@@ -22,10 +22,12 @@
 //! returns).
 
 use std::collections::BTreeMap;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Mutex;
+use std::time::Duration;
 
-use pi_planner::{execute, NO_INDEXES};
+use pi_planner::{execute, Plan, NO_INDEXES};
 use pi_server::{
     batch_rows, body_lines, canonical_rows, header, header_field, render_rows, Client, QuerySpec,
     Server, ServerConfig,
@@ -77,7 +79,7 @@ fn replay(log: &BTreeMap<u64, Statement>, upto: u64, partitions: usize) -> (Inde
     ));
     let mut rejected = 0;
     for stmt in log.range(..=upto).map(|(_, s)| s) {
-        match stmt.validate(&it) {
+        match stmt.validate(it.table(), it.indexes().len()) {
             Ok(()) => stmt.apply(&mut it),
             Err(_) => rejected += 1,
         }
@@ -88,7 +90,9 @@ fn replay(log: &BTreeMap<u64, Statement>, upto: u64, partitions: usize) -> (Inde
 
 /// Replays the statement prefix `seq <= watermark[shard]` for every
 /// shard and returns the index-free reference response for `spec` —
-/// byte-for-byte what the server should have sent.
+/// byte-for-byte what the server should have sent. Each shard runs the
+/// unlimited plan, so a wrong `limit` pushdown in the fan-out plan
+/// cannot hide in the reference.
 fn reference_response(
     spec_text: &str,
     watermarks: &[u64],
@@ -96,7 +100,10 @@ fn reference_response(
     partitions_per_shard: usize,
 ) -> String {
     let spec = QuerySpec::parse(spec_text).unwrap();
-    let plan = spec.fanout_plan();
+    let mut plan = Plan::scan(spec.scan.clone());
+    if let Some(d) = &spec.distinct {
+        plan = plan.distinct(d.clone());
+    }
     let mut rows = Vec::new();
     for (sid, log) in by_shard.iter().enumerate() {
         let (it, _) = replay(log, watermarks[sid], partitions_per_shard);
@@ -484,7 +491,6 @@ fn error_codes_and_line_mode() {
 
     // A malformed frame gets ERR BadFrame and the connection closes.
     {
-        use std::io::{Read, Write};
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.write_all(b"3x\nabc").unwrap();
         let mut buf = String::new();
@@ -516,5 +522,184 @@ fn modify_and_delete_round_trip() {
 
     let resp = client.request("QUERY scan 1 | sort 0:asc").unwrap();
     assert_eq!(body_lines(&resp), vec!["30", "99"]);
+    server.shutdown();
+}
+
+/// `limit` is pushed to the shards under the canonical order. Rows tied
+/// on the sort key sit in each shard in the reverse of their tie-break
+/// order, so a shard that kept its first `limit` rows by the sort key
+/// alone would send the wrong ones and the combine could not recover.
+#[test]
+fn limit_pushdown_keeps_the_canonical_tie_break() {
+    let shard = |keys: &[i64]| {
+        let mut it = IndexedTable::new(Table::new("t", schema(), 1, Partitioning::RoundRobin));
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .map(|&k| vec![Value::Int(k), Value::Int(0)])
+            .collect();
+        it.insert(&rows);
+        it
+    };
+    let tables = vec![
+        shard(&[20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 1]),
+        shard(&[30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 2]),
+    ];
+    let server = Server::start(ServerConfig::with_shards(2), tables).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client
+        .request("QUERY scan 0,1 | sort 1:asc | limit 3")
+        .unwrap();
+    assert_eq!(body_lines(&resp), vec!["1\t0", "2\t0", "11\t0"], "{resp}");
+    let resp = client
+        .request("QUERY scan 0 | sort 0:desc | limit 2")
+        .unwrap();
+    assert_eq!(body_lines(&resp), vec!["30", "29"], "{resp}");
+    for (spec, count) in [
+        ("scan 0,1 | sort 1:asc | limit 3", "3"),
+        ("scan 1 | distinct 0 | limit 3", "1"),
+        ("scan 0", "22"),
+    ] {
+        let resp = client.request(&format!("COUNT {spec}")).unwrap();
+        assert_eq!(header_field(&resp, "count"), Some(count), "{spec}: {resp}");
+    }
+    server.shutdown();
+}
+
+/// Seeded wire fuzzing over a 2-shard server, on one thread: random
+/// bytes in framed and line mode on throwaway connections, and
+/// well-formed-looking INSERT / MODIFY / DELETE with out-of-range or
+/// malformed shards, partitions, rows, columns, widths and values. Every
+/// request gets an `OK` or `ERR` answer on a live connection; after each
+/// burst PING, INSERT and PUBLISH still answer `OK` and every shard's
+/// writer is still applying statements.
+#[test]
+fn fuzzed_wire_input_never_breaks_the_server() {
+    const BURSTS: usize = 24;
+    const PER_BURST: usize = 40;
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("v", DataType::Int),
+        Field::new("f", DataType::Float),
+        Field::new("s", DataType::Str),
+    ]);
+    let server = Server::empty(ServerConfig::with_shards(2), schema, 2).unwrap();
+    let mut rng = SmallRng::seed_from_u64(0xF022);
+    let mut client = Client::connect(server.addr()).unwrap();
+    // Three times in four the valid token, else one that is out of
+    // range, of the wrong type or no token at all.
+    let pick = |rng: &mut SmallRng, valid: String| -> String {
+        const BAD: [&str; 8] = [
+            "-1",
+            "x",
+            "",
+            "99999999999999999999",
+            "64",
+            "1.5",
+            "a\tb",
+            "-0",
+        ];
+        if rng.gen_range(0..4) > 0 {
+            valid
+        } else {
+            BAD[rng.gen_range(0..BAD.len())].to_string()
+        }
+    };
+    // A valid literal for column `col` of the schema above.
+    let literal = |rng: &mut SmallRng, col: usize| -> String {
+        match col {
+            0 | 1 => rng.gen_range(-5..50).to_string(),
+            2 => "2.5".into(),
+            _ => "s".into(),
+        }
+    };
+    let mut statements = [0u64; 2];
+    for burst in 0..BURSTS {
+        for _ in 0..PER_BURST {
+            let nrids = rng.gen_range(1..4);
+            let rids: Vec<String> = (0..nrids)
+                .map(|_| {
+                    let rid = rng.gen_range(0..6).to_string();
+                    pick(&mut rng, rid)
+                })
+                .collect();
+            let sid = rng.gen_range(0..2).to_string();
+            let sid = pick(&mut rng, sid);
+            let pid = rng.gen_range(0..2).to_string();
+            let pid = pick(&mut rng, pid);
+            let cmd = match rng.gen_range(0..3) {
+                0 => {
+                    let rows: Vec<String> = (0..rng.gen_range(1..4))
+                        .map(|_| {
+                            let width = [4, 4, 4, 3, 5][rng.gen_range(0..5)];
+                            let cells: Vec<String> = (0..width)
+                                .map(|col| {
+                                    let v = literal(&mut rng, col % 4);
+                                    pick(&mut rng, v)
+                                })
+                                .collect();
+                            cells.join(",")
+                        })
+                        .collect();
+                    format!("INSERT {}", rows.join(";"))
+                }
+                1 => {
+                    let col = rng.gen_range(0..4);
+                    let pairs: Vec<String> = rids
+                        .iter()
+                        .map(|rid| {
+                            let v = literal(&mut rng, col);
+                            format!("{rid}={}", pick(&mut rng, v))
+                        })
+                        .collect();
+                    let col = pick(&mut rng, col.to_string());
+                    format!("MODIFY {sid} {pid} {col} {}", pairs.join(","))
+                }
+                _ => format!("DELETE {sid} {pid} {}", rids.join(",")),
+            };
+            let resp = client.request(&cmd).unwrap();
+            assert!(
+                resp.starts_with("OK ")
+                    || ["BadCommand", "BadValue", "BadShard", "ServerBusy"]
+                        .iter()
+                        .any(|code| resp.starts_with(&format!("ERR {code} "))),
+                "{cmd:?}: {resp:?}"
+            );
+        }
+        for framed in [true, false] {
+            let mut raw = TcpStream::connect(server.addr()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let len = rng.gen_range(0..200);
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect();
+            if framed {
+                let prefix = format!("{}\n", rng.gen_range(0..400));
+                bytes.splice(0..0, prefix.into_bytes());
+            } else {
+                // Keep the first byte off the digits, which select framing.
+                bytes.insert(0, b'A' + rng.gen_range(0..26));
+                bytes.push(b'\n');
+            }
+            raw.write_all(&bytes).unwrap();
+            raw.shutdown(Shutdown::Write).unwrap();
+            let mut answer = Vec::new();
+            raw.read_to_end(&mut answer)
+                .expect("the server answers and closes the connection");
+        }
+        assert_eq!(client.request("PING").unwrap(), "OK pong");
+        // Keys 0..16 route to both shards.
+        let rows: Vec<String> = (0..16).map(|k| format!("{k},{burst},0.5,r")).collect();
+        let resp = client
+            .request(&format!("INSERT {}", rows.join(";")))
+            .unwrap();
+        let acks = header_field(&resp, "shards").unwrap_or_else(|| panic!("{resp}"));
+        assert!(acks.contains("0:") && acks.contains("1:"), "{resp}");
+        let resp = client.request("PUBLISH").unwrap();
+        assert!(resp.starts_with("OK epochs="), "{resp}");
+        let metrics = client.request("METRICS").unwrap();
+        for (sid, last) in statements.iter_mut().enumerate() {
+            let now = metric(&metrics, &format!("shard{sid}.statements"));
+            assert!(now > *last, "shard {sid} stopped applying statements");
+            *last = now;
+        }
+    }
     server.shutdown();
 }
