@@ -491,7 +491,6 @@ fn hypothetical_benefit(
         constraint,
         parts,
         patch_distinct: patches / 2,
-        pending: false,
         e: sampled_e,
         baseline_e: sampled_e,
         drift_patches: 0,

@@ -41,8 +41,6 @@ pub struct ShardedBitmap {
     shard_bits_log2: u32,
     /// Total number of logical bits.
     logical_len: u64,
-    /// Shift kernel used by delete operations.
-    kernel: ShiftKernel,
 }
 
 /// Default shard size: the optimum determined in Figure 6 of the paper.
@@ -71,7 +69,6 @@ impl ShardedBitmap {
             starts: (0..nshards as u64).map(|s| s << log2).collect(),
             shard_bits_log2: log2,
             logical_len: len,
-            kernel: ShiftKernel::default(),
         }
     }
 
@@ -82,12 +79,6 @@ impl ShardedBitmap {
             bm.set(p);
         }
         bm
-    }
-
-    /// Overrides the shift kernel used by deletes (ablation hook).
-    pub fn with_kernel(mut self, kernel: ShiftKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Shard size in bits.
@@ -231,8 +222,7 @@ impl ShardedBitmap {
         let valid = self.shard_valid(s);
         let words = self.shard_words();
         let range = s * words..(s + 1) * words;
-        self.kernel
-            .shift_tail_left(&mut self.data[range], local, valid);
+        ShiftKernel::default().shift_tail_left(&mut self.data[range], local, valid);
         for start in &mut self.starts[s + 1..] {
             *start -= 1;
         }
@@ -278,7 +268,7 @@ impl ShardedBitmap {
         let shard_words = self.shard_words();
         let kernel = match mode {
             BulkDeleteMode::Sequential | BulkDeleteMode::Parallel => ShiftKernel::Scalar,
-            BulkDeleteMode::ParallelVectorized => self.kernel,
+            BulkDeleteMode::ParallelVectorized => ShiftKernel::default(),
         };
 
         // Per-shard work item: shift out each deleted offset, descending, so
@@ -479,7 +469,6 @@ impl ShardedBitmap {
             starts,
             shard_bits_log2,
             logical_len,
-            kernel: ShiftKernel::default(),
         }
     }
 

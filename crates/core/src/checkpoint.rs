@@ -19,11 +19,14 @@
 use std::io::{self, Read};
 use std::path::Path;
 
+use pi_storage::bytes::{
+    bad, put_f64, put_i64, put_u32, put_u64, read_f64, read_i64, read_u32, read_u64,
+};
 use pi_storage::crc::crc32;
 use pi_storage::dfs::{write_atomic, DurableFs, RealFs};
 use pi_storage::Table;
 
-use crate::constraint::{Constraint, Design, SortDir};
+use crate::constraint::{Constraint, Design};
 use crate::index::{DriftBaseline, PartitionIndex, PatchIndex, QueryFeedback};
 use crate::maintenance::MaintenanceStats;
 use crate::store::PatchStore;
@@ -36,70 +39,6 @@ const MAGIC: &[u8; 4] = b"PIDX";
 /// advisor monitoring where it left off, and ends in a CRC-32 trailer,
 /// so torn or bit-flipped files are rejected instead of parsed.
 const VERSION: u32 = 5;
-
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(b: &mut Vec<u8>, v: i64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(b: &mut Vec<u8>, v: f64) {
-    put_u64(b, v.to_bits());
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_i64(r: &mut impl Read) -> io::Result<i64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(i64::from_le_bytes(buf))
-}
-
-fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    Ok(f64::from_bits(read_u64(r)?))
-}
-
-fn constraint_tag(c: Constraint) -> u32 {
-    match c {
-        Constraint::NearlyUnique => 0,
-        Constraint::NearlySorted(SortDir::Asc) => 1,
-        Constraint::NearlySorted(SortDir::Desc) => 2,
-        Constraint::NearlyConstant => 3,
-    }
-}
-
-fn constraint_from_tag(tag: u32) -> io::Result<Constraint> {
-    match tag {
-        0 => Ok(Constraint::NearlyUnique),
-        1 => Ok(Constraint::NearlySorted(SortDir::Asc)),
-        2 => Ok(Constraint::NearlySorted(SortDir::Desc)),
-        3 => Ok(Constraint::NearlyConstant),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown constraint tag {other}"),
-        )),
-    }
-}
-
-fn bad_data(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
 
 impl PatchIndex {
     /// Recreates the index from the table — recovery after a shutdown or
@@ -124,7 +63,7 @@ impl PatchIndex {
         b.extend_from_slice(MAGIC);
         put_u32(&mut b, VERSION);
         put_u32(&mut b, self.column() as u32);
-        put_u32(&mut b, constraint_tag(self.constraint()));
+        put_u32(&mut b, self.constraint().tag().into());
         put_u32(&mut b, matches!(self.design(), Design::Identifier) as u32);
         put_u32(&mut b, 1);
         // Monitoring counters: maintenance stats, drift baseline, query
@@ -198,9 +137,9 @@ impl PatchIndex {
         let mut magic = [0u8; 4];
         header
             .read_exact(&mut magic)
-            .map_err(|_| bad_data("not a PatchIndex checkpoint (too short)"))?;
+            .map_err(|_| bad("not a PatchIndex checkpoint (too short)"))?;
         if &magic != MAGIC {
-            return Err(bad_data("not a PatchIndex checkpoint"));
+            return Err(bad("not a PatchIndex checkpoint"));
         }
         let version = read_u32(&mut header)?;
         if version != VERSION {
@@ -212,18 +151,16 @@ impl PatchIndex {
         // The file ends in a CRC-32 of everything before it; verify
         // before trusting a single payload byte.
         if bytes.len() < 12 {
-            return Err(bad_data("checkpoint truncated before checksum"));
+            return Err(bad("checkpoint truncated before checksum"));
         }
         let trailer_at = bytes.len() - 4;
         let stored = u32::from_le_bytes(bytes[trailer_at..].try_into().unwrap());
         if crc32(&bytes[..trailer_at]) != stored {
-            return Err(bad_data(
-                "checkpoint checksum mismatch (corrupt or torn file)",
-            ));
+            return Err(bad("checkpoint checksum mismatch (corrupt or torn file)"));
         }
         let mut r: &[u8] = &bytes[8..trailer_at];
         let column = read_u32(&mut r)? as usize;
-        let constraint = constraint_from_tag(read_u32(&mut r)?)?;
+        let constraint = Constraint::from_tag(read_u32(&mut r)?)?;
         let design = if read_u32(&mut r)? == 1 {
             Design::Identifier
         } else {
@@ -233,7 +170,7 @@ impl PatchIndex {
             // A NUC saved from a partition-local discovery: kept values may
             // repeat across partitions, so the distinct rewrite's
             // un-deduplicated union could not be served soundly.
-            return Err(bad_data(
+            return Err(bad(
                 "checkpoint of a partition-local NUC index (recreate the index)",
             ));
         }
@@ -275,7 +212,7 @@ impl PatchIndex {
             });
         }
         if !r.is_empty() {
-            return Err(bad_data("trailing garbage after checkpoint payload"));
+            return Err(bad("trailing garbage after checkpoint payload"));
         }
         let mut idx = PatchIndex::from_parts(column, constraint, design, parts);
         idx.restore_meta(stats, baseline, feedback);
@@ -286,6 +223,7 @@ impl PatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::SortDir;
     use pi_storage::dfs::SimFs;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
     use std::path::PathBuf;
@@ -406,6 +344,41 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("version"), "{err}");
         }
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_pinned_layout() {
+        const GOLDEN: &[&str] = &[
+            "5049445805000000000000000000000000000000010000000000000000000000",
+            "000000000000000000000000000000000000000000000000dcb66ddbb66ddb3f",
+            "0400000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000200000004000000",
+            "0000000000000000020000000000000001000000000000000200000000000000",
+            "0300000000000000000000000200000000000000000000000000000001000000",
+            "000000002a495b77504944580500000000000000020000000100000001000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "922449922449e23f030000000000000000000000000000000100000000000000",
+            "0000000000000440010000000000000000000000008028400000000000000840",
+            "0200000004000000000000000100000005000000000000000200000000000000",
+            "0000000000000000030000000000000003000000000000000100000003000000",
+            "0000000001000000000000000200000000000000e706549f",
+        ];
+        let t = table();
+        let nuc = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
+        let mut nsc = PatchIndex::create(
+            &t,
+            0,
+            Constraint::NearlySorted(SortDir::Desc),
+            Design::Identifier,
+        );
+        nsc.record_query_feedback(2.5);
+        nsc.record_query_timing(12.25, 3.0);
+        let hex: String = [nuc.checkpoint_bytes(), nsc.checkpoint_bytes()]
+            .concat()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN.concat());
     }
 
     #[test]

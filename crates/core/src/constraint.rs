@@ -40,6 +40,31 @@ impl Constraint {
             Constraint::NearlyConstant => "NCC",
         }
     }
+
+    /// The constraint's tag in the on-disk formats (index checkpoints and
+    /// WAL records); each format stores it at its own width.
+    pub fn tag(self) -> u8 {
+        match self {
+            Constraint::NearlyUnique => 0,
+            Constraint::NearlySorted(SortDir::Asc) => 1,
+            Constraint::NearlySorted(SortDir::Desc) => 2,
+            Constraint::NearlyConstant => 3,
+        }
+    }
+
+    /// The constraint stored under `tag` (see [`Constraint::tag`]), or an
+    /// [`std::io::ErrorKind::InvalidData`] error for an unknown tag.
+    pub fn from_tag(tag: u32) -> std::io::Result<Self> {
+        match tag {
+            0 => Ok(Constraint::NearlyUnique),
+            1 => Ok(Constraint::NearlySorted(SortDir::Asc)),
+            2 => Ok(Constraint::NearlySorted(SortDir::Desc)),
+            3 => Ok(Constraint::NearlyConstant),
+            other => Err(pi_storage::bytes::bad(&format!(
+                "unknown constraint tag {other}"
+            ))),
+        }
+    }
 }
 
 /// Which physical patch-set representation an index uses (paper,

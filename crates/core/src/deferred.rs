@@ -5,8 +5,9 @@
 //! though the joins could share work. Deferred mode instead *stages*
 //! pending inserts and modifies into a per-index dirty set and runs **one
 //! merged collision join (NUC) / one LIS extension (NSC)** when the index
-//! is flushed (explicitly, or automatically once the pending-row threshold
-//! of [`crate::MaintenanceMode::Deferred`] is reached).
+//! is flushed (explicitly, when the policy is replaced, when an epoch is
+//! published, or automatically once the pending-row threshold of
+//! [`crate::MaintenanceMode::Deferred`] is reached).
 //!
 //! ## Query correctness while pending
 //!
@@ -21,7 +22,9 @@
 //! rows. Plans exploiting that disjointness (e.g. the distinct-count
 //! rewrite) can over-count — **flush before such queries**
 //! ([`crate::IndexedTable::flush_maintenance`]); `check_consistency`
-//! fails in exactly the states where this matters.
+//! fails in exactly the states where this matters. Pending work only
+//! ever lives on a writer's own table: capturing a
+//! [`crate::TableSnapshot`] flushes it, so snapshot readers never see it.
 //!
 //! ## Eager equivalence
 //!

@@ -150,9 +150,9 @@ impl IndexedTable {
         }
     }
 
-    /// Sets the maintenance policy.
+    /// Sets the maintenance policy (see [`IndexedTable::set_policy`]).
     pub fn with_policy(mut self, policy: MaintenancePolicy) -> Self {
-        self.policy = policy;
+        self.set_policy(policy);
         self
     }
 
@@ -186,8 +186,11 @@ impl IndexedTable {
     }
 
     /// Replaces the maintenance policy in place (the snapshot writer's
-    /// counterpart of [`IndexedTable::with_policy`]).
+    /// counterpart of [`IndexedTable::with_policy`]). Deferred work staged
+    /// under the old policy is flushed first: eager maintenance assumes
+    /// no index has any.
     pub fn set_policy(&mut self, policy: MaintenancePolicy) {
+        self.flush_maintenance();
         self.policy = policy;
     }
 
@@ -772,6 +775,28 @@ mod tests {
         it.check_consistency();
         assert_eq!(it.index(0).partition(0).store.patch_rids(), vec![2]);
         assert_eq!(it.index(0).partition(1).store.patch_rids(), vec![0]);
+    }
+
+    #[test]
+    fn replacing_the_policy_flushes_staged_work() {
+        let mut it = fresh().with_policy(deferred(usize::MAX));
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.insert(&[row(100, 20)]);
+        assert!(it.index(0).has_pending());
+        // Eager insert / modify handling must not meet staged work.
+        it.set_policy(MaintenancePolicy::default());
+        assert!(!it.index(0).has_pending());
+        it.insert(&[row(101, 60)]);
+        it.modify(1, &[0], 1, &[Value::Int(60)]);
+        it.check_consistency();
+        assert_eq!(it.index(0).exception_count(), 4);
+        let mut it = it.with_policy(deferred(usize::MAX));
+        it.insert(&[row(102, 70)]);
+        let mut it = it.with_policy(MaintenancePolicy::default());
+        assert!(!it.index(0).has_pending());
+        it.insert(&[row(103, 70)]);
+        it.check_consistency();
+        assert_eq!(it.index(0).exception_count(), 6);
     }
 
     #[test]

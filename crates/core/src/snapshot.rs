@@ -28,18 +28,14 @@
 //! pays a one-time copy ([`std::sync::Arc::make_mut`]); everything else
 //! mutates in place exactly as before. A read-only epoch costs nothing.
 //!
-//! ## The pending-NUC masking rule
+//! ## Every epoch is fully maintained
 //!
-//! Deferred maintenance may be staged when a snapshot is published; the
-//! snapshot then carries `pending` catalog entries. NSC / NCC / exception
-//! plans stay exact against staged state (see [`crate::deferred`]), but a
-//! pending **NUC** index suspends the kept/patch disjointness invariant.
-//! The writer-side rule was "flush before such queries"; a reader cannot
-//! flush an immutable snapshot, so the query facade in `pi-planner`
-//! instead **re-optimizes with exactly the pending NUC entries masked
-//! out of the catalog** — rewrites that stay exact while pending survive
-//! at their sites, only the suspended NUC binding reverts to reference
-//! form, and the next published (flushed) snapshot restores the rewrite.
+//! Capturing an epoch first flushes any deferred maintenance staged on
+//! the writer (see [`crate::deferred`]), so no [`TableSnapshot`] ever
+//! carries pending work: every published index satisfies its constraint
+//! exactly, and readers plan against it like against an eagerly
+//! maintained table. Deferred mode still batches maintenance *between*
+//! publishes; a publish is where the batch ends.
 //!
 //! ## Workload evidence from readers
 //!
@@ -188,6 +184,7 @@ impl TableSnapshot {
         cache_token: u64,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> Self {
+        it.flush_maintenance();
         // The full catalog (including the NUC distinct-patch pass) is
         // computed here, on the writer — snapshot readers plan against it
         // for free. Reuses the mutation-invalidated cache: a publish with
@@ -252,8 +249,7 @@ impl TableSnapshot {
     }
 
     /// Verifies every index of this epoch against its table (test
-    /// helper). Exempt from the writer's pending-flush caveat only when
-    /// the snapshot was published flushed.
+    /// helper).
     pub fn check_consistency(&self) {
         for idx in &self.inner.indexes {
             idx.check_consistency(&self.inner.table);
@@ -452,13 +448,13 @@ impl TableWriter {
     /// Validates `stmt` against the staging table and applies it — the
     /// write entry point the server's shard writers, `DurableWriter` and
     /// WAL replay share. A statement that fails validation changes
-    /// nothing. `Publish` publishes a flushed epoch; every other
-    /// statement stays staged until the caller publishes.
+    /// nothing. `Publish` publishes; every other statement stays staged
+    /// until the caller publishes.
     pub fn apply(&mut self, stmt: &Statement) -> Result<(), StatementError> {
         stmt.validate(self.staging.table(), self.staging.indexes().len())?;
         match stmt {
             Statement::Publish => {
-                self.publish_flushed();
+                self.publish();
             }
             _ => stmt.apply(&mut self.staging),
         }
@@ -469,11 +465,6 @@ impl TableWriter {
     /// path) and returns its slot.
     pub fn add_index(&mut self, col: usize, constraint: Constraint, design: Design) -> usize {
         self.staging.add_index(col, constraint, design)
-    }
-
-    /// Runs all deferred maintenance staged on the writer.
-    pub fn flush_maintenance(&mut self) {
-        self.staging.flush_maintenance();
     }
 
     /// The staging table (reflects unpublished mutations).
@@ -551,10 +542,11 @@ impl TableWriter {
     }
 
     /// Publishes the staging state as a new snapshot: absorbs reader
-    /// feedback, captures the epoch (Arc bumps, no data copies) and swaps
-    /// the shared pointer. Returns the new epoch. Readers holding older
-    /// snapshots are unaffected; they pick the new epoch up at their next
-    /// [`ConcurrentTable::snapshot`] call.
+    /// feedback, flushes staged deferred maintenance, captures the epoch
+    /// (Arc bumps, no data copies) and swaps the shared pointer. Returns
+    /// the new epoch. Readers holding older snapshots are unaffected;
+    /// they pick the new epoch up at their next [`ConcurrentTable::snapshot`]
+    /// call.
     ///
     /// A publish with **zero changes** since the last epoch — every
     /// partition and index Arc pointer-identical to the published
@@ -562,23 +554,17 @@ impl TableWriter {
     /// catalog capture, no cache sweep. A writer that publishes after
     /// every statement therefore cannot churn reader epochs (or
     /// invalidate result-cache entries) for nothing; the returned epoch
-    /// is the still-current one.
+    /// is the still-current one. Staged maintenance always copied the
+    /// index it touched, so it is never mistaken for a zero change.
     pub fn publish(&mut self) -> u64 {
         let start = Instant::now();
         self.absorb_feedback();
-        if self.staging_matches_published() {
+        let Some((parts, idxs)) = self.copies_vs_published() else {
             if let Some(m) = &self.publish_metrics {
                 m.noops.inc();
             }
             return self.epoch;
-        }
-        if let Some(m) = &self.publish_metrics {
-            // The copy-on-write bill of this epoch: how many partition /
-            // index Arcs the staged mutations actually rewrote.
-            let (parts, idxs) = self.copies_vs_published();
-            m.partitions_copied.add(parts);
-            m.indexes_copied.add(idxs);
-        }
+        };
         self.epoch += 1;
         let snap = TableSnapshot::capture(
             &mut self.staging,
@@ -599,6 +585,8 @@ impl TableWriter {
         *self.shared.current.write() = snap;
         if let Some(m) = &self.publish_metrics {
             m.publishes.inc();
+            m.partitions_copied.add(parts);
+            m.indexes_copied.add(idxs);
             m.cache_invalidated.add(invalidated);
             m.epoch.set(self.epoch as i64);
             m.nanos.record(start.elapsed().as_nanos() as u64);
@@ -606,53 +594,26 @@ impl TableWriter {
         self.epoch
     }
 
-    /// Counts the staged partition / index Arcs that differ from the
-    /// published snapshot (new slots count as copies).
-    fn copies_vs_published(&self) -> (u64, u64) {
-        let cur = self.shared.current.read();
-        let published = cur.table().partitions();
-        let parts = self
-            .staging
-            .table()
-            .partitions()
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| published.get(*i).is_none_or(|q| !Arc::ptr_eq(p, q)))
-            .count() as u64;
-        let idxs = self
-            .staging
-            .indexes()
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| cur.indexes().get(*i).is_none_or(|q| !Arc::ptr_eq(p, q)))
-            .count() as u64;
-        (parts, idxs)
-    }
-
-    /// Whether the staging state is pointer-identical (copy-on-write:
-    /// hence byte-identical) to the currently published snapshot.
-    fn staging_matches_published(&self) -> bool {
-        let cur = self.shared.current.read();
-        let published = cur.table().partitions();
-        let staged = self.staging.table().partitions();
-        staged.len() == published.len()
-            && self.staging.indexes().len() == cur.indexes().len()
-            && staged.iter().zip(published).all(|(a, b)| Arc::ptr_eq(a, b))
-            && self
-                .staging
-                .indexes()
+    /// The copy-on-write bill of the staging state against the published
+    /// snapshot: how many partition / index Arcs the staged mutations
+    /// rewrote (new slots count as copies). `None` when the staging state
+    /// is pointer-identical (copy-on-write: hence byte-identical) to the
+    /// published snapshot.
+    fn copies_vs_published(&self) -> Option<(u64, u64)> {
+        fn changed<T>(staged: &[Arc<T>], published: &[Arc<T>]) -> u64 {
+            staged
                 .iter()
-                .zip(cur.indexes())
-                .all(|(a, b)| Arc::ptr_eq(a, b))
-    }
-
-    /// Flushes any staged deferred maintenance, then publishes — the
-    /// "writer publishes a flushed snapshot" half of the pending-NUC
-    /// rule: snapshots published through this never force readers off
-    /// their index rewrites.
-    pub fn publish_flushed(&mut self) -> u64 {
-        self.staging.flush_maintenance();
-        self.publish()
+                .enumerate()
+                .filter(|(i, a)| published.get(*i).is_none_or(|b| !Arc::ptr_eq(a, b)))
+                .count() as u64
+        }
+        let cur = self.shared.current.read();
+        let staged = self.staging.table().partitions();
+        let parts = changed(staged, cur.table().partitions());
+        let idxs = changed(self.staging.indexes(), cur.indexes());
+        let same_len = staged.len() == cur.table().partitions().len()
+            && self.staging.indexes().len() == cur.indexes().len();
+        (parts + idxs > 0 || !same_len).then_some((parts, idxs))
     }
 
     /// Unwraps the writer back into its staging table. The shared handle
@@ -1016,22 +977,26 @@ mod tests {
     }
 
     #[test]
-    fn publish_flushed_clears_pending_state() {
+    fn publish_clears_pending_state() {
         use crate::indexed::{MaintenanceMode, MaintenancePolicy};
-        let it = fresh().with_policy(MaintenancePolicy {
+        let mut it = fresh().with_policy(MaintenancePolicy {
             mode: MaintenanceMode::Deferred {
                 flush_rows: usize::MAX,
             },
             ..MaintenancePolicy::default()
         });
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.insert(&[row(99, 10)]);
+        assert!(it.index(0).has_pending());
+        // The first epoch is captured flushed too.
         let (handle, mut writer) = ConcurrentTable::new(it);
-        writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        assert!(!handle.snapshot().indexes()[0].has_pending());
+        handle.snapshot().check_consistency();
         writer.insert(&[row(100, 20)]);
-        writer.publish();
-        assert!(handle.snapshot().catalog().indexes[0].pending);
-        writer.publish_flushed();
+        assert!(writer.staging().index(0).has_pending());
+        assert_eq!(writer.publish(), 1);
         let snap = handle.snapshot();
-        assert!(!snap.catalog().indexes[0].pending);
+        assert!(!snap.indexes()[0].has_pending());
         snap.check_consistency();
     }
 

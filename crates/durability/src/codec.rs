@@ -14,51 +14,17 @@
 //! codes; the shared dictionaries travel in one dict file per checkpoint
 //! generation so codes stay meaningful.
 
-use std::io::{self, Read};
+use std::io;
 use std::sync::Arc;
 
+use pi_storage::bytes::{
+    bad, put_f64, put_i64, put_str, put_u32, put_u64, read_f64, read_i64, read_str, read_u32,
+    read_u64, read_u8,
+};
 use pi_storage::crc::crc32;
 use pi_storage::{ColumnData, DataType, DictRef, Field, Partitioning, Schema, Table};
 
 use patchindex::IndexedTable;
-
-use crate::wal::{read_f64, read_u32, read_u64, read_u8};
-
-pub(crate) fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-pub(crate) fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i64(b: &mut Vec<u8>, v: i64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(b: &mut Vec<u8>, v: f64) {
-    put_u64(b, v.to_bits());
-}
-
-pub(crate) fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_u32(b, s.len() as u32);
-    b.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn read_i64(r: &mut impl Read) -> io::Result<i64> {
-    Ok(read_u64(r)? as i64)
-}
-
-pub(crate) fn read_str(r: &mut impl Read) -> io::Result<String> {
-    let len = read_u32(r)? as usize;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| bad("non-utf8 string"))
-}
 
 /// Wraps a payload in `magic + version + payload + crc32`.
 fn seal(magic: &[u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {

@@ -58,8 +58,8 @@ pub mod wal;
 
 mod codec;
 
-use codec::bad;
 pub use codec::state_image;
+use pi_storage::bytes::bad;
 pub use wal::SyncPolicy;
 
 const MANIFEST_NAME: &str = "MANIFEST";
@@ -215,7 +215,7 @@ impl DurableWriter {
     /// Fails with [`io::ErrorKind::AlreadyExists`] if `dir` already holds
     /// a manifest — recover instead of clobbering.
     pub fn create(
-        mut it: IndexedTable,
+        it: IndexedTable,
         fs: Arc<dyn DurableFs>,
         dir: impl AsRef<Path>,
         opts: DurableOptions,
@@ -228,9 +228,8 @@ impl DurableWriter {
                 format!("{} already holds a durable table", dir.display()),
             ));
         }
-        // The initial checkpoint must not carry pending maintenance, and
-        // replay determinism wants a clean statement-stream start.
-        it.flush_maintenance();
+        // Capturing the first epoch flushes staged maintenance, so the
+        // initial checkpoint carries none and replay starts clean.
         let (handle, writer) = ConcurrentTable::new(it);
         let wal = wal::WalWriter::new(
             Arc::clone(&fs),
@@ -445,7 +444,7 @@ impl DurableWriter {
         })
     }
 
-    /// Publishes a flushed epoch durably: drains reader-reported
+    /// Publishes an epoch durably: drains reader-reported
     /// feedback through the WAL, logs the publish record, applies the
     /// sync policy (a returned `Ok` means the epoch will survive any
     /// later crash under [`SyncPolicy::EveryRecord`] /
@@ -463,7 +462,7 @@ impl DurableWriter {
         if self.opts.sync == SyncPolicy::EveryPublish {
             self.wal.sync_all()?;
         }
-        self.writer.publish_flushed();
+        self.writer.publish();
         self.epoch += 1;
         self.publishes_since_ckpt += 1;
         if self.publishes_since_ckpt >= self.opts.checkpoint_every {

@@ -25,13 +25,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pi_obs::{Counter, Histogram, MetricsRegistry};
+use pi_storage::bytes::{
+    bad, put_f64, put_i64, put_str, put_u32, put_u64, read_f64, read_i64, read_str, read_u32,
+    read_u64, read_u8,
+};
 use pi_storage::crc::crc32;
 use pi_storage::dfs::DurableFs;
 use pi_storage::Value;
 
-use crate::codec::{bad, put_f64, put_i64, put_str, put_u32, put_u64, read_i64, read_str};
-
-use patchindex::{Constraint, Design, SortDir, Statement};
+use patchindex::{Constraint, Design, Statement};
 
 /// When WAL appends are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,28 +83,6 @@ pub(crate) fn put_value(b: &mut Vec<u8>, v: &Value) {
     }
 }
 
-pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-pub(crate) fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    Ok(f64::from_bits(read_u64(r)?))
-}
-
-pub(crate) fn read_u8(r: &mut impl Read) -> io::Result<u8> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)?;
-    Ok(buf[0])
-}
-
 pub(crate) fn read_value(r: &mut impl Read) -> io::Result<Value> {
     match read_u8(r)? {
         0 => Ok(Value::Int(read_i64(r)?)),
@@ -122,25 +102,6 @@ fn put_rids(b: &mut Vec<u8>, rids: &[usize]) {
 fn read_rids(r: &mut impl Read) -> io::Result<Vec<usize>> {
     let n = read_u32(r)?;
     (0..n).map(|_| Ok(read_u64(r)? as usize)).collect()
-}
-
-fn constraint_tag(c: Constraint) -> u8 {
-    match c {
-        Constraint::NearlyUnique => 0,
-        Constraint::NearlySorted(SortDir::Asc) => 1,
-        Constraint::NearlySorted(SortDir::Desc) => 2,
-        Constraint::NearlyConstant => 3,
-    }
-}
-
-fn constraint_from_tag(tag: u8) -> io::Result<Constraint> {
-    match tag {
-        0 => Ok(Constraint::NearlyUnique),
-        1 => Ok(Constraint::NearlySorted(SortDir::Asc)),
-        2 => Ok(Constraint::NearlySorted(SortDir::Desc)),
-        3 => Ok(Constraint::NearlyConstant),
-        t => Err(bad(&format!("unknown constraint tag {t}"))),
-    }
 }
 
 /// Appends `stmt`'s type tag and body to `b`.
@@ -182,7 +143,7 @@ fn encode(stmt: &Statement, b: &mut Vec<u8>) {
         } => {
             b.push(T_ADD_INDEX);
             put_u32(b, *col as u32);
-            b.push(constraint_tag(*constraint));
+            b.push(constraint.tag());
             b.push(matches!(design, Design::Identifier) as u8);
         }
         Statement::DropIndex { slot } => {
@@ -251,7 +212,7 @@ fn decode(r: &mut impl Read) -> io::Result<Statement> {
         },
         T_ADD_INDEX => Statement::AddIndex {
             col: read_u32(r)? as usize,
-            constraint: constraint_from_tag(read_u8(r)?)?,
+            constraint: Constraint::from_tag(read_u8(r)?.into())?,
             design: if read_u8(r)? == 1 {
                 Design::Identifier
             } else {
@@ -534,6 +495,7 @@ pub(crate) fn read_log(fs: &dyn DurableFs, dir: &Path) -> io::Result<Vec<(u64, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patchindex::SortDir;
     use pi_storage::dfs::SimFs;
 
     fn sample_records() -> Vec<Statement> {

@@ -12,8 +12,8 @@
 //!   human-readable dump ([`MetricsRegistry::render_text`]).
 //! * [`QueryTrace`] — an EXPLAIN ANALYZE-style trace of one
 //!   query: per-operator wall clock and row counts, partitions pruned
-//!   vs. visited, index slots bound, cache outcome, pending-NUC masking
-//!   decisions. Produced by `QueryEngine::query_traced` in `pi-planner`.
+//!   vs. visited, index slots bound, cache outcome. Produced by
+//!   `QueryEngine::query_traced` in `pi-planner`.
 //! * [`Windowed`] — sliding windows over cumulative counters (anchor,
 //!   delta, trim, sum), extracted from the advisor's two hand-rolled
 //!   windowed-subtraction sites.
@@ -35,13 +35,11 @@
 #![warn(missing_docs)]
 
 mod registry;
-mod scope;
 mod trace;
 mod window;
 
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSnapshot, MetricsRegistry,
 };
-pub use scope::ScopedRegistry;
 pub use trace::{fmt_nanos, CacheOutcome, OperatorTrace, PlannerTrace, QueryTrace};
 pub use window::{Cumulative, Windowed};

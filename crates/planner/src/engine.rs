@@ -23,11 +23,10 @@
 //!   rule** of [`patchindex`]'s deferred module: if the chosen plan binds
 //!   a NUC index with staged deferred maintenance, it flushes *that
 //!   index* — its disjointness invariant is suspended while pending — and
-//!   re-plans against the fresh counts. A [`TableSnapshot`] is immutable
-//!   and cannot flush; it re-plans with just the pending NUC entries
-//!   masked out of the catalog (the pending-NUC masking rule of
-//!   [`patchindex::snapshot`]), so NSC/NCC/exception rewrites at other
-//!   sites survive and only the suspended binding reverts.
+//!   re-plans against the fresh counts. A [`TableSnapshot`] never
+//!   carries pending work — publishing an epoch flushes it (see
+//!   [`patchindex::snapshot`]) — so it plans once against the catalog
+//!   captured at publish time.
 //! * **Evidence sink.** The owner records the query log, feedback and
 //!   timings on its indexes by slot. A snapshot reports them as
 //!   [`WorkloadEvent`]s to its [`patchindex::WorkloadSink`] for the
@@ -47,8 +46,8 @@ use std::time::Instant;
 
 use patchindex::snapshot::WorkloadEvent;
 use patchindex::{
-    CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexStats, IndexedTable,
-    PatchIndex, QueryShape, SortDir, TableSnapshot, TableWriter,
+    CachedValue, ConcurrentTable, Constraint, Footprint, IndexedTable, PatchIndex, QueryShape,
+    SortDir, TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::{collect, count_rows, Batch};
@@ -61,17 +60,14 @@ use crate::logical::Plan;
 use crate::optimizer::{optimize_with_stats, OptimizeStats};
 use crate::physical::{lower, ExecOpts, ExecTrace, TouchLog};
 
-/// Whether the catalog entry is a NUC index with staged deferred
-/// maintenance — its disjointness invariant is suspended.
-fn pending_nuc(e: &IndexStats) -> bool {
-    e.pending && e.constraint == Constraint::NearlyUnique
-}
-
 /// PatchScan slots whose binding requires the NUC disjointness invariant
 /// that a pending flush currently suspends.
-fn stale_nuc_slots(plan: &Plan, cat: &IndexCatalog) -> Vec<usize> {
+fn stale_nuc_slots(plan: &Plan, indexes: &[Arc<PatchIndex>]) -> Vec<usize> {
     let mut slots = bound_slots(plan);
-    slots.retain(|&s| cat.by_slot(s).is_some_and(pending_nuc));
+    slots.retain(|&s| {
+        let idx = &indexes[s];
+        idx.constraint() == Constraint::NearlyUnique && idx.has_pending()
+    });
     slots
 }
 
@@ -137,10 +133,10 @@ pub trait QueryEngine {
     /// Plans and executes under full EXPLAIN ANALYZE instrumentation:
     /// the result batch — byte-identical to [`QueryEngine::query`] —
     /// plus a [`QueryTrace`] carrying planner decisions (candidates
-    /// enumerated, cost-gated, rewrites chosen, masked pending-NUC
-    /// slots), partitions pruned vs visited, per-operator wall clock and
-    /// row counts, and the result-cache outcome. Workload evidence is
-    /// recorded exactly as `query` would.
+    /// enumerated, cost-gated, rewrites chosen, slots bound), partitions
+    /// pruned vs visited, per-operator wall clock and row counts, and the
+    /// result-cache outcome. Workload evidence is recorded exactly as
+    /// `query` would.
     fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace);
     /// EXPLAIN ANALYZE: executes the query for real (like `EXPLAIN
     /// ANALYZE` in a SQL engine) and returns only the trace.
@@ -190,9 +186,9 @@ trait View {
     fn table(&self) -> &Table;
     fn indexes(&self) -> &[Arc<PatchIndex>];
     /// The planning policy: chooses the plan to execute, leaving the
-    /// final planning pass's decision counters in `stats` and any masked
-    /// pending-NUC slots in `masked`. Records no evidence.
-    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats, masked: &mut Vec<usize>) -> Plan;
+    /// final planning pass's decision counters in `stats`. Records no
+    /// evidence.
+    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats) -> Plan;
     /// Estimated costs of `plan` and of its chosen form `chosen`, against
     /// the catalog `choose` planned on.
     fn costs(&mut self, plan: &Plan, chosen: &Plan) -> (f64, f64);
@@ -212,23 +208,22 @@ impl View for IndexedTable {
         IndexedTable::indexes(self)
     }
 
-    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats, _: &mut Vec<usize>) -> Plan {
+    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats) -> Plan {
         let with_distinct_stats = plan.contains_distinct();
         loop {
             // The catalog is *borrowed* from the mutation-invalidated
             // cache (repeated queries between updates re-read counters,
             // no re-hashing, no clone); the flushes below run after the
             // borrow ends.
-            let (chosen, stale) = {
+            let chosen = {
                 let cat = self.query_catalog(with_distinct_stats);
                 // Reset each round so the trace reports the final
                 // planning pass (post-flush counts), not the sum over
                 // flush retries.
                 *stats = OptimizeStats::default();
-                let chosen = optimize_with_stats(plan.clone(), &cat, true, stats);
-                let stale = stale_nuc_slots(&chosen, &cat);
-                (chosen, stale)
+                optimize_with_stats(plan.clone(), &cat, true, stats)
             };
+            let stale = stale_nuc_slots(&chosen, self.indexes());
             if stale.is_empty() {
                 return chosen;
             }
@@ -269,33 +264,14 @@ impl View for TableSnapshot {
         TableSnapshot::indexes(self)
     }
 
-    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats, masked: &mut Vec<usize>) -> Plan {
-        let cat = self.catalog();
-        let mut chosen = optimize_with_stats(plan.clone(), cat, true, stats);
-        if !stale_nuc_slots(&chosen, cat).is_empty() {
-            // Readers cannot flush; masking just the pending NUC entries
-            // (their slot numbers live in the entries, not positions, so
-            // surviving bindings still address the live index array)
-            // keeps every other rewrite. The writer's next flushed
-            // publish restores the NUC rewrite for subsequent snapshots.
-            let (pending, kept): (Vec<IndexStats>, _) =
-                cat.indexes.iter().cloned().partition(pending_nuc);
-            let masked_cat = IndexCatalog {
-                part_rows: cat.part_rows.clone(),
-                indexes: kept,
-            };
-            *masked = pending.iter().map(|e| e.slot).collect();
-            *stats = OptimizeStats::default();
-            chosen = optimize_with_stats(plan.clone(), &masked_cat, true, stats);
-        }
+    fn choose(&mut self, plan: &Plan, stats: &mut OptimizeStats) -> Plan {
+        let chosen = optimize_with_stats(plan.clone(), self.catalog(), true, stats);
         if let Some(reg) = self.metrics() {
             reg.counter("planner.candidates_enumerated")
                 .add(stats.candidates_enumerated);
             reg.counter("planner.cost_gated").add(stats.cost_gated);
             reg.counter("planner.rewrites_chosen")
                 .add(stats.rewrites_chosen);
-            reg.counter("planner.masked_pending_slots")
-                .add(masked.len() as u64);
         }
         chosen
     }
@@ -364,8 +340,7 @@ fn run(
 ) -> (CachedValue, Option<QueryTrace>) {
     let start = Instant::now();
     let mut stats = OptimizeStats::default();
-    let mut masked = Vec::new();
-    let chosen = view.choose(plan, &mut stats, &mut masked);
+    let chosen = view.choose(plan, &mut stats);
     let plan_nanos = start.elapsed().as_nanos() as u64;
     let mut shapes = Vec::new();
     query_shapes(plan, &mut shapes);
@@ -466,7 +441,6 @@ fn run(
                 cost_gated: stats.cost_gated,
                 rewrites_chosen: stats.rewrites_chosen,
                 slots_bound: bound_slots(&chosen),
-                masked_pending_slots: masked,
                 nanos: plan_nanos,
             },
             partitions_total: parts,
@@ -507,7 +481,7 @@ fn traced_rows((value, trace): (CachedValue, Option<QueryTrace>)) -> (Batch, Que
 
 impl QueryEngine for IndexedTable {
     fn plan_query(&mut self, plan: &Plan) -> Plan {
-        self.choose(plan, &mut OptimizeStats::default(), &mut Vec::new())
+        self.choose(plan, &mut OptimizeStats::default())
     }
 
     fn query(&mut self, plan: &Plan) -> Batch {
@@ -530,7 +504,7 @@ impl QueryEngine for IndexedTable {
 /// consult it first.
 impl QueryEngine for TableSnapshot {
     fn plan_query(&mut self, plan: &Plan) -> Plan {
-        self.choose(plan, &mut OptimizeStats::default(), &mut Vec::new())
+        self.choose(plan, &mut OptimizeStats::default())
     }
 
     fn query(&mut self, plan: &Plan) -> Batch {
@@ -821,92 +795,47 @@ mod tests {
         assert!(fb.micros_per_cost_unit().unwrap() > 0.0);
     }
 
+    /// Publishing flushes: after a deferred writer stages a NUC
+    /// duplicate and an out-of-order NSC insert, the published epoch —
+    /// the first one of `ConcurrentTable::new` as well as a later
+    /// `publish` — carries no pending work, binds the NUC distinct
+    /// rewrite and answers like the index-free reference.
     #[test]
-    fn pending_nuc_snapshot_falls_back_to_the_reference_plan() {
-        let it = fresh(2).with_policy(deferred());
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        let slot = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let Value::Int(dup) = writer.staging().table().partition(0).value_at(1, 0) else {
-            panic!()
+    fn published_epochs_carry_no_pending_maintenance() {
+        let stage = |it: &mut IndexedTable| {
+            let Value::Int(dup) = it.table().partition(0).value_at(1, 0) else {
+                panic!()
+            };
+            it.insert(&[
+                vec![Value::Int(999), Value::Int(dup)],
+                vec![Value::Int(998), Value::Int(-5)],
+            ]);
+            assert!(it.indexes().iter().all(|idx| idx.has_pending()));
         };
-        writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
-        assert!(writer.staging().index(slot).has_pending());
-        writer.publish(); // deliberately unflushed: snapshot carries pending NUC
-        let mut snap = handle.snapshot();
-        assert!(snap.catalog().indexes[slot].pending);
-
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        // The fallback plan is the unrewritten reference — and exact.
-        let chosen = snap.plan_query(&distinct);
-        assert!(!chosen.to_string().contains("PatchScan"), "{chosen}");
-        let reference = execute_count(&distinct, snap.table(), NO_INDEXES);
-        assert_eq!(snap.query_count(&distinct), reference);
-        // The index version inside the snapshot still has its staged
-        // state; the reader never flushed anything.
-        assert!(snap.indexes()[slot].has_pending());
-
-        // A flushed publish restores the rewrite for new snapshots.
-        writer.publish_flushed();
-        let mut fresh_snap = handle.snapshot();
-        assert!(fresh_snap
-            .plan_query(&distinct)
-            .to_string()
-            .contains("PatchScan"));
-        assert_eq!(fresh_snap.query_count(&distinct), reference);
-    }
-
-    #[test]
-    fn pending_nuc_mask_keeps_the_unrelated_nsc_rewrite() {
-        let it = fresh(2).with_policy(deferred());
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        let nuc = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let nsc = writer.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        let Value::Int(dup) = writer.staging().table().partition(0).value_at(1, 0) else {
-            panic!()
+        let plans = [
+            (Plan::scan(vec![1]).distinct(vec![0]), false),
+            (Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]), true),
+        ];
+        let check = |mut snap: TableSnapshot| {
+            assert!(snap.indexes().iter().all(|idx| !idx.has_pending()));
+            let chosen = snap.plan_query(&plans[0].0);
+            assert!(chosen.to_string().contains("slot=0"), "{chosen}");
+            for (plan, ordered) in &plans {
+                let reference = execute(plan, snap.table(), NO_INDEXES);
+                let got = snap.query(plan);
+                assert_eq!(rows_of(&got, *ordered), rows_of(&reference, *ordered));
+                assert_eq!(snap.query_count(plan), reference.len());
+            }
         };
-        writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
-        writer.publish(); // unflushed: the snapshot carries the pending NUC
-        let mut snap = handle.snapshot();
-        assert!(snap.catalog().indexes[nuc].pending);
-
-        // One plan, two sites: the distinct would bind the pending NUC,
-        // the sort binds the NSC (exact while pending). Masking must
-        // revert only the distinct site.
-        let q = Plan::Union {
-            inputs: vec![
-                Plan::scan(vec![1]).distinct(vec![0]),
-                Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]),
-            ],
-        };
-        let chosen = snap.plan_query(&q);
-        let s = chosen.to_string();
-        assert!(
-            s.contains(&format!("slot={nsc}")),
-            "NSC rewrite must survive:\n{s}"
-        );
-        assert!(
-            !s.contains(&format!("slot={nuc}")),
-            "pending NUC must be masked:\n{s}"
-        );
-        let reference = execute_count(&q, snap.table(), NO_INDEXES);
-        assert_eq!(snap.query_count(&q), reference);
-    }
-
-    #[test]
-    fn pending_nsc_snapshot_keeps_its_rewrite() {
-        let it = fresh(2).with_policy(deferred());
+        let mut it = fresh(4).with_policy(deferred());
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        stage(&mut it);
         let (handle, mut writer) = ConcurrentTable::new(it);
-        let slot = writer.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        writer.insert(&[vec![Value::Int(999), Value::Int(-5)]]); // out of order
+        check(handle.snapshot());
+        stage(writer.staging_mut());
         writer.publish();
-        let mut snap = handle.snapshot();
-        assert!(snap.catalog().indexes[slot].pending);
-        let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        // NSC stays exact while pending: no fallback, results exact.
-        assert!(snap.plan_query(&sort).to_string().contains("PatchScan"));
-        let got = snap.query(&sort);
-        let reference = execute(&sort, snap.table(), NO_INDEXES);
-        assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
+        check(handle.snapshot());
     }
 
     #[test]
@@ -1107,24 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_snapshot_reports_masked_pending_nuc_slots() {
-        let it = fresh(2).with_policy(deferred());
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        let slot = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let Value::Int(dup) = writer.staging().table().partition(0).value_at(1, 0) else {
-            panic!()
-        };
-        writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
-        writer.publish(); // unflushed: pending NUC rides into the snapshot
-        let mut snap = handle.snapshot();
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        let (_, trace) = snap.query_traced(&distinct);
-        assert_eq!(trace.planner.masked_pending_slots, vec![slot]);
-        assert!(trace.planner.slots_bound.is_empty());
-        assert_eq!(trace.cache, Some(pi_obs::CacheOutcome::Uncached));
-    }
-
-    #[test]
     fn snapshot_queries_feed_the_metrics_registry() {
         let mut it = fresh(2);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
@@ -1195,7 +1106,8 @@ mod tests {
     /// A NUC and an NSC index on column 1. With `dup`, a row under that
     /// maintenance policy duplicates a value out of order: patched
     /// eagerly, or — deferred — staged, suspending the NUC disjointness
-    /// invariant, so the owner must flush and a snapshot must mask.
+    /// invariant, so the owner must flush (a snapshot is captured
+    /// flushed).
     fn fixture(dup: Option<MaintenancePolicy>) -> IndexedTable {
         let mut it = fresh(4);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);

@@ -99,7 +99,7 @@ impl Server {
                     id,
                     table,
                     registry: Arc::clone(&shard_registries[id]),
-                    server_scope: registry.scoped(&format!("shard{id}")),
+                    server_registry: Arc::clone(&registry),
                     queue_capacity: cfg.queue_capacity,
                     publish_every: cfg.publish_every,
                     cache_budget_bytes: cfg.cache_budget_bytes,
@@ -204,7 +204,7 @@ impl Server {
     }
 
     /// Graceful shutdown: stop admitting work, drain every shard queue
-    /// through a final flush + publish, join writers and connection
+    /// through a final publish, join writers and connection
     /// threads. Also runs on drop; calling it twice is a no-op.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
@@ -320,7 +320,9 @@ impl ServerInner {
             "INSERT" => self.insert(rest),
             "MODIFY" => self.modify(rest),
             "DELETE" => self.delete(rest),
-            "FLUSH" => self.flush(),
+            // Publishing flushes staged maintenance, so FLUSH is the
+            // PUBLISH barrier; it answers a bare `OK`.
+            "FLUSH" => self.publish().map(|_| "OK".into()),
             "PUBLISH" => self.publish(),
             "METRICS" => Ok(self.metrics_json()),
             "SLOWLOG" => Ok(self.slowlog.render()),
@@ -603,20 +605,6 @@ impl ServerInner {
             .map(|rid| parse_number("row id", rid))
             .collect::<Result<_, _>>()?;
         self.enqueue_checked(sid, Statement::Delete { pid, rids })
-    }
-
-    fn flush(&self) -> Result<String, ServerError> {
-        let mut acks = Vec::new();
-        for shard in &self.shards {
-            let (tx, rx) = mpsc::channel();
-            shard.control(ShardMsg::Flush { ack: tx })?;
-            acks.push(rx);
-        }
-        for rx in acks {
-            rx.recv()
-                .map_err(|_| ServerError::new(ErrorCode::ShuttingDown, "shard writer exited"))?;
-        }
-        Ok("OK".into())
     }
 
     fn publish(&self) -> Result<String, ServerError> {

@@ -14,8 +14,8 @@
 //! reflects (the contract the prefix-replay property test checks).
 //!
 //! Closing the queue drains it: the writer applies every remaining
-//! statement, flushes maintenance, publishes, and exits — graceful
-//! shutdown is "close all queues, join all writers".
+//! statement, publishes (which flushes staged maintenance), and exits —
+//! graceful shutdown is "close all queues, join all writers".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -26,7 +26,7 @@ use patchindex::{
     ConcurrentTable, IndexedTable, ResultCache, Statement, TableSnapshot, TableWriter,
 };
 use pi_advisor::{split_budget, Advisor, AdvisorConfig};
-use pi_obs::{Gauge, MetricsRegistry, ScopedRegistry};
+use pi_obs::{Gauge, MetricsRegistry};
 
 use crate::protocol::{ErrorCode, ServerError};
 
@@ -34,10 +34,6 @@ pub(crate) enum ShardMsg {
     Statement {
         seq: u64,
         stmt: Statement,
-    },
-    /// Flush deferred maintenance, publish, ack.
-    Flush {
-        ack: mpsc::Sender<()>,
     },
     /// Publish, ack with the new epoch.
     Publish {
@@ -58,6 +54,27 @@ struct EnqueueState {
     next_seq: u64,
 }
 
+impl EnqueueState {
+    /// Enqueues `msg` without blocking; a closed queue or an exited
+    /// writer is `ShuttingDown`, a full queue `ServerBusy`.
+    fn send(&self, msg: ShardMsg) -> Result<(), ServerError> {
+        let Some(sender) = self.sender.as_ref() else {
+            return Err(ServerError::new(
+                ErrorCode::ShuttingDown,
+                "shard queue closed",
+            ));
+        };
+        sender.try_send(msg).map_err(|e| match e {
+            TrySendError::Full(_) => {
+                ServerError::new(ErrorCode::ServerBusy, "statement queue full; retry")
+            }
+            TrySendError::Disconnected(_) => {
+                ServerError::new(ErrorCode::ShuttingDown, "shard writer exited")
+            }
+        })
+    }
+}
+
 /// A shard handle: the read side (`table`), the sequenced enqueue path,
 /// and the `(epoch, seq)` watermark its writer maintains.
 pub(crate) struct Shard {
@@ -75,7 +92,9 @@ pub(crate) struct ShardSpawn {
     pub id: usize,
     pub table: IndexedTable,
     pub registry: Arc<MetricsRegistry>,
-    pub server_scope: ScopedRegistry,
+    /// The server-wide registry, which carries this shard's queue and
+    /// statement metrics as `shard<N>.<name>`.
+    pub server_registry: Arc<MetricsRegistry>,
     pub queue_capacity: usize,
     pub publish_every: u64,
     pub cache_budget_bytes: usize,
@@ -98,9 +117,10 @@ impl Shard {
             ConcurrentTable::with_observability(spec.table, cache, Arc::clone(&spec.registry));
         let applied = Arc::new(Mutex::new((table.epoch(), 0)));
         let (tx, rx) = mpsc::sync_channel(spec.queue_capacity);
-        let queue_depth = spec.server_scope.gauge("queue.depth");
-        let statements = spec.server_scope.counter("statements");
-        let rejected = spec.server_scope.counter("statements_rejected");
+        let name = |metric: &str| format!("shard{}.{metric}", spec.id);
+        let queue_depth = spec.server_registry.gauge(&name("queue.depth"));
+        let statements = spec.server_registry.counter(&name("statements"));
+        let rejected = spec.server_registry.counter(&name("statements_rejected"));
         let advisor = (spec.advise_every > 0).then(|| {
             Advisor::with_metrics(
                 AdvisorConfig {
@@ -147,50 +167,16 @@ impl Shard {
     /// watermark seq is `>= seq` reflects this statement.
     pub(crate) fn enqueue(&self, stmt: Statement) -> Result<u64, ServerError> {
         let mut st = self.state.lock().unwrap();
-        let Some(sender) = st.sender.as_ref() else {
-            return Err(ServerError::new(
-                ErrorCode::ShuttingDown,
-                "shard queue closed",
-            ));
-        };
         let seq = st.next_seq + 1;
-        match sender.try_send(ShardMsg::Statement { seq, stmt }) {
-            Ok(()) => {
-                st.next_seq = seq;
-                self.queue_depth.add(1);
-                Ok(seq)
-            }
-            Err(TrySendError::Full(_)) => Err(ServerError::new(
-                ErrorCode::ServerBusy,
-                "statement queue full; retry",
-            )),
-            Err(TrySendError::Disconnected(_)) => Err(ServerError::new(
-                ErrorCode::ShuttingDown,
-                "shard writer exited",
-            )),
-        }
+        st.send(ShardMsg::Statement { seq, stmt })?;
+        st.next_seq = seq;
+        self.queue_depth.add(1);
+        Ok(seq)
     }
 
-    /// Enqueues a control message (flush / publish / hold).
+    /// Enqueues a control message (publish / hold).
     pub(crate) fn control(&self, msg: ShardMsg) -> Result<(), ServerError> {
-        let st = self.state.lock().unwrap();
-        let Some(sender) = st.sender.as_ref() else {
-            return Err(ServerError::new(
-                ErrorCode::ShuttingDown,
-                "shard queue closed",
-            ));
-        };
-        match sender.try_send(msg) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(ServerError::new(
-                ErrorCode::ServerBusy,
-                "statement queue full; retry",
-            )),
-            Err(TrySendError::Disconnected(_)) => Err(ServerError::new(
-                ErrorCode::ShuttingDown,
-                "shard writer exited",
-            )),
-        }
+        self.state.lock().unwrap().send(msg)
     }
 
     /// A snapshot paired with the exact statement prefix it reflects.
@@ -209,7 +195,7 @@ impl Shard {
 
     /// Closes the queue (new statements get `ShuttingDown`) and joins
     /// the writer, which drains every queued statement through a final
-    /// flush + publish first.
+    /// publish first.
     pub(crate) fn close(&self) {
         self.state.lock().unwrap().sender = None;
         if let Some(h) = self.handle.lock().unwrap().take() {
@@ -262,12 +248,6 @@ impl WriterLoop {
                         since_advise = 0;
                     }
                 }
-                ShardMsg::Flush { ack } => {
-                    self.writer.flush_maintenance();
-                    self.publish(last_seq);
-                    since_publish = 0;
-                    let _ = ack.send(());
-                }
                 ShardMsg::Publish { ack } => {
                     self.publish(last_seq);
                     since_publish = 0;
@@ -281,9 +261,8 @@ impl WriterLoop {
             }
         }
         // Queue closed: everything above already applied; drain through
-        // a final flush + publish so acknowledged statements are
-        // visible (and durable via any wrapped WAL) before the join.
-        self.writer.flush_maintenance();
+        // a final publish so acknowledged statements are visible before
+        // the join.
         self.publish(last_seq);
     }
 

@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bytes;
 mod column;
 pub mod crc;
 mod delta;

@@ -288,9 +288,9 @@ proptest! {
         run_stream(&ops, eager());
     }
 
-    // Deferred maintenance: snapshots carry staged state (including
-    // pending NUC masking on the read side) — the cache must key on the
-    // *chosen* plan after masking and still match the uncached twin.
+    // Deferred maintenance: the writer stages work between publishes
+    // and each publish flushes it — cached answers must still match the
+    // uncached twin.
     #[test]
     fn cached_results_match_uncached_deferred(
         ops in proptest::collection::vec(op_strategy(), 4..20),

@@ -301,9 +301,9 @@ proptest! {
         prop_assert!(verified > 0);
     }
 
-    // Deferred maintenance: snapshots may carry staged (pending) state —
-    // including pending NUC indexes, where the reader-side fallback rule
-    // must keep distinct counts exact without a flush.
+    // Deferred maintenance: the writer stages work between publishes
+    // and each publish flushes it — every observed result must still
+    // equal its epoch's sequential replay.
     #[test]
     fn concurrent_reads_are_sequentially_consistent_deferred(
         ops in proptest::collection::vec(op_strategy(), 4..24),

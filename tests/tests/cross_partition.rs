@@ -192,7 +192,7 @@ fn run_concurrent(ops: &[XOp], design: Design) {
                 false
             }
             XOp::Flush => {
-                writer.flush_maintenance();
+                writer.apply(&Statement::Flush).unwrap();
                 true
             }
             XOp::Publish => true,
@@ -205,7 +205,7 @@ fn run_concurrent(ops: &[XOp], design: Design) {
         let reference = execute_count(&plan, snap.table(), NO_INDEXES);
         assert_eq!(snap.query_count(&plan), reference, "ops: {ops:?}");
     }
-    writer.publish_flushed();
+    writer.publish();
     let snap = handle.snapshot();
     snap.check_consistency();
     let reference = execute_count(&plan, snap.table(), NO_INDEXES);

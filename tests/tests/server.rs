@@ -32,11 +32,11 @@ use pi_server::{
     batch_rows, body_lines, canonical_rows, header, header_field, render_rows, Client, QuerySpec,
     Server, ServerConfig,
 };
-use pi_storage::{DataType, Field, Partitioning, Schema, Table, Value};
+use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use patchindex::{IndexedTable, Statement};
+use patchindex::{Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy, Statement};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -453,6 +453,69 @@ fn clean_shutdown_drains_acked_statements() {
         total += execute(&plan, snap.table(), NO_INDEXES).len();
     }
     assert_eq!(total as i64, ROWS, "acked statements lost in shutdown");
+}
+
+/// `FLUSH` is the `PUBLISH` barrier answering a bare `OK`. With
+/// `publish_every` beyond the statement count nothing is visible before
+/// it; after it every acknowledged row is, no shard snapshot carries
+/// staged maintenance — the deferred shard's included — and a NUC
+/// distinct binds its index on every shard.
+#[test]
+fn flush_publishes_fully_maintained_epochs() {
+    const ROWS: i64 = 40;
+    let table = |policy: MaintenancePolicy| {
+        let mut t = Table::new("t", schema(), 2, Partitioning::RoundRobin);
+        for pid in 0..2 {
+            let vals: Vec<i64> = (pid * 100..pid * 100 + 100).collect();
+            t.load_partition(
+                pid as usize,
+                &[ColumnData::Int(vals.clone()), ColumnData::Int(vals)],
+            );
+        }
+        t.propagate_all();
+        let mut it = IndexedTable::new(t).with_policy(policy);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it
+    };
+    let deferred = MaintenancePolicy {
+        mode: MaintenanceMode::Deferred {
+            flush_rows: usize::MAX,
+        },
+        ..MaintenancePolicy::default()
+    };
+    let cfg = ServerConfig {
+        shards: 2,
+        publish_every: 1_000_000,
+        ..ServerConfig::default()
+    };
+    let tables = vec![table(MaintenancePolicy::default()), table(deferred)];
+    let server = Server::start(cfg, tables).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for k in 0..ROWS {
+        // Every inserted v duplicates a preloaded value on both shards.
+        let resp = client
+            .request(&format!("INSERT {},{}", 1000 + k, k % 10))
+            .unwrap();
+        assert!(resp.starts_with("OK "), "insert {k} failed: {resp}");
+    }
+    let resp = client.request("COUNT scan 0").unwrap();
+    assert_eq!(header_field(&resp, "count"), Some("400"));
+
+    assert_eq!(client.request("FLUSH").unwrap(), "OK");
+    let resp = client.request("COUNT scan 0").unwrap();
+    assert_eq!(
+        header_field(&resp, "count"),
+        Some(&*(400 + ROWS).to_string())
+    );
+    for table in server.tables() {
+        let snap = table.snapshot();
+        assert!(snap.table().visible_len() > 200, "both shards got rows");
+        assert!(snap.indexes().iter().all(|idx| !idx.has_pending()));
+        snap.check_consistency();
+    }
+    let resp = client.request("EXPLAIN scan 1 | distinct 0").unwrap();
+    assert_eq!(resp.matches("slots bound [0]").count(), 2, "{resp}");
+    server.shutdown();
 }
 
 /// Every documented error code surfaces with its wire token, and only
